@@ -185,8 +185,8 @@ class FrozenIndex {
   uint32_t shard_shift_ = kDefaultShardShift;
   uint32_t shard_count_ = 0;
   std::vector<uint64_t> shard_entries_;
-  /// Visit counters are the only mutable state; relaxed increments from
-  /// concurrent match calls, drained by the metrics exporter.
+  /// Visit counters are the only mutable state: relaxed increments from
+  /// const match calls, drained by the metrics exporter.
   mutable std::unique_ptr<std::atomic<uint64_t>[]> visits_;
 };
 

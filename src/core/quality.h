@@ -7,7 +7,7 @@
 //
 //  * Shadow sampling (QualityProbe): for a deterministic fraction of events
 //    — chosen by a content hash, so the sampled set is identical across
-//    runs, shardings, and brokers — the caller re-runs the exact per-
+//    runs and brokers — the caller re-runs the exact per-
 //    subscription oracle next to the summary match and records candidate
 //    vs exact counts. Exported: `subsum_quality_sampled_events_total`,
 //    `subsum_summary_false_positive_ids_total`, `subsum_summary_precision`
@@ -61,8 +61,8 @@ struct SampleConfig {
 /// Live false-positive probe. Construct once next to a MetricsRegistry
 /// (handles are pre-registered and stable); call should_sample() per event
 /// and, when it returns true, run the exact oracle and call record().
-/// All mutation is relaxed-atomic via the registry handles, so concurrent
-/// publish shards may share one probe; totals are commutative.
+/// All mutation is relaxed-atomic via the registry handles, so the probe
+/// may be shared by threads; totals are commutative.
 class QualityProbe {
  public:
   QualityProbe(obs::MetricsRegistry& reg, SampleConfig cfg = {});

@@ -181,10 +181,12 @@ void BrokerNode::stop() {
   stop_cv_.notify_all();
   listener_.close();
   if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> handlers;
+  std::map<uint64_t, std::thread> handlers;
+  std::vector<std::thread> exited;
   {
     std::lock_guard lk(threads_mu_);
     handlers.swap(handlers_);
+    exited.swap(exited_);
     // Unblock handler threads parked in recv_frame on live connections.
     for (auto& weak : conns_) {
       if (auto conn = weak.lock()) {
@@ -194,9 +196,8 @@ void BrokerNode::stop() {
     }
     conns_.clear();
   }
-  for (auto& t : handlers) {
-    if (t.joinable()) t.join();
-  }
+  for (auto& [seq, t] : handlers) t.join();
+  for (auto& t : exited) t.join();
   // The profiler is process-wide; only the node that armed it disarms it
   // (captured samples stay drainable for post-stop inspection) and dumps
   // the folded stacks beside the flight recorder's black box.
@@ -258,13 +259,28 @@ std::vector<std::byte> BrokerNode::own_summary_wire() const {
 
 void BrokerNode::accept_loop() {
   obs::Profiler::register_thread(obs::ThreadRole::kAccept);
+  uint64_t seq = 0;
   while (!stopping_) {
     auto sock = listener_.accept();
     if (!sock) break;
-    std::lock_guard lk(threads_mu_);
-    if (stopping_) break;
-    handlers_.emplace_back(
-        [this, s = std::move(*sock)]() mutable { handle_connection(std::move(s)); });
+    std::vector<std::thread> exited;
+    {
+      std::lock_guard lk(threads_mu_);
+      if (stopping_) break;
+      exited.swap(exited_);
+      handlers_.emplace(seq, std::thread([this, seq, s = std::move(*sock)]() mutable {
+        handle_connection(std::move(s));
+        // A thread cannot join itself: hand it to the accept loop. After
+        // stop() has taken handlers_, stop() joins it instead.
+        std::lock_guard hk(threads_mu_);
+        if (auto it = handlers_.find(seq); it != handlers_.end()) {
+          exited_.push_back(std::move(it->second));
+          handlers_.erase(it);
+        }
+      }));
+      ++seq;
+    }
+    for (auto& t : exited) t.join();
   }
 }
 
@@ -299,6 +315,11 @@ void BrokerNode::handle_connection(Socket sock) {
   conn->sock = &sock;
   {
     std::lock_guard lk(threads_mu_);
+    // stop() raises stopping_ before it shuts down the registered
+    // connections under this lock. A connection that would register after
+    // that sweep is never shut down, so it must not start serving: its
+    // recv would block stop()'s join forever.
+    if (stopping_) return;
     std::erase_if(conns_, [](const std::weak_ptr<ClientConn>& w) { return w.expired(); });
     conns_.push_back(conn);
   }

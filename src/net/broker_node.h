@@ -421,7 +421,13 @@ class BrokerNode {
   std::condition_variable stop_cv_;   // woken by stop(): bounded shutdown
 
   std::mutex threads_mu_;
-  std::vector<std::thread> handlers_;
+  /// Connection handler threads still serving, by accept sequence number.
+  /// A handler that returns moves its own thread into exited_, which the
+  /// accept loop joins at the next accept (and stop() joins at shutdown),
+  /// so a finished handler's stack is released instead of staying mapped
+  /// until stop().
+  std::map<uint64_t, std::thread> handlers_;
+  std::vector<std::thread> exited_;
   std::vector<std::weak_ptr<ClientConn>> conns_;  // for shutdown on stop()
 
   /// Per-sender mirror of the last announced image: the base a delta from

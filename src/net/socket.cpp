@@ -132,7 +132,7 @@ Listener::Listener(uint16_t port) {
     throw_errno("getsockname");
   }
   port_ = ntohs(addr.sin_port);
-  if (::listen(fd, 64) < 0) {
+  if (::listen(fd, SOMAXCONN) < 0) {
     ::close(fd);
     throw_errno("listen");
   }

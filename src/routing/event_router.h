@@ -135,8 +135,8 @@ struct RouterOptions {
 /// Routes one event published at `origin` through the post-propagation
 /// state. Complexity: at most n broker visits; each visit runs Algorithm 1
 /// on the broker's merged summary. With `scratch`, the per-visit matching
-/// runs through the caller's MatchScratch (one per thread — see
-/// SimSystem::publish_batch); without, a per-thread default is used.
+/// runs through the caller's MatchScratch (one per thread); without, a
+/// per-thread default is used.
 RouteResult route_event(const overlay::Graph& g, const PropagationResult& state,
                         overlay::BrokerId origin, const model::Event& event,
                         const RouterOptions& opts = {},

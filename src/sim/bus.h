@@ -36,17 +36,6 @@ class Accounting {
   [[nodiscard]] size_t total_messages() const noexcept;
   [[nodiscard]] size_t total_bytes() const noexcept;
 
-  /// Folds another ledger into this one. Message/byte sums are plain
-  /// integer additions, so merging per-thread deltas (in any order) yields
-  /// totals identical to sequential recording — the determinism guarantee
-  /// SimSystem::publish_batch relies on.
-  void merge(const Accounting& other) noexcept {
-    for (size_t i = 0; i < kMsgTypeCount; ++i) {
-      cells_[i].messages += other.cells_[i].messages;
-      cells_[i].bytes += other.cells_[i].bytes;
-    }
-  }
-
   void reset() noexcept { cells_ = {}; }
 
   [[nodiscard]] std::string to_string() const;

@@ -174,85 +174,26 @@ routing::PropagationResult SimSystem::run_propagation_period() {
 
 SimSystem::PublishOutcome SimSystem::publish(BrokerId origin, const model::Event& event) {
   if (origin >= broker_count()) throw std::invalid_argument("origin broker out of range");
-  const uint64_t trace_id =
-      cfg_.trace ? obs::mint_trace_id(origin, publish_seq_++, /*salt=*/0) : 0;
-  PublishOutcome out = publish_one(origin, event, acct_, nullptr, trace_id);
-  for (const obs::Span& s : out.route.spans) trace_ring_.append(s);
-  return out;
-}
-
-std::vector<SimSystem::PublishOutcome> SimSystem::publish_batch(
-    BrokerId origin, std::span<const model::Event> events, util::ThreadPool& pool) {
-  if (origin >= broker_count()) throw std::invalid_argument("origin broker out of range");
-  std::vector<PublishOutcome> out(events.size());
-  if (events.empty()) return out;
-
-  // Trace ids are minted up front, in event order, so the id stream (and
-  // therefore each event's spans) is independent of the sharding.
-  std::vector<uint64_t> traces(events.size(), 0);
-  if (cfg_.trace) {
-    for (auto& t : traces) t = obs::mint_trace_id(origin, publish_seq_++, /*salt=*/0);
-  }
-
-  const size_t shards = std::min(pool.concurrency(), events.size());
-  const size_t chunk = (events.size() + shards - 1) / shards;
-  std::vector<Accounting> deltas(shards);
-  for (size_t s = 0; s < shards; ++s) {
-    const size_t begin = s * chunk;
-    const size_t end = std::min(begin + chunk, events.size());
-    if (begin >= end) break;
-    pool.submit([this, s, begin, end, origin, events, &out, &deltas, &traces] {
-      core::MatchScratch scratch;
-      for (size_t i = begin; i < end; ++i) {
-        out[i] = publish_one(origin, events[i], deltas[s], &scratch, traces[i]);
-      }
-    });
-  }
-  pool.wait();
-  // Barrier: fold the per-shard ledgers in shard (= event) order. The sums
-  // are commutative integer additions, so totals are bit-identical to the
-  // sequential loop's. Spans fold into the ring in event order too, so the
-  // ring's contents match the sequential publish() loop exactly.
-  for (const Accounting& d : deltas) acct_.merge(d);
-  if (cfg_.trace) {
-    for (const PublishOutcome& o : out) {
-      for (const obs::Span& s : o.route.spans) trace_ring_.append(s);
-    }
-  }
-  return out;
-}
-
-std::vector<SimSystem::PublishOutcome> SimSystem::publish_batch(
-    BrokerId origin, std::span<const model::Event> events) {
-  if (!publish_pool_) {
-    publish_pool_ = std::make_unique<util::ThreadPool>(util::ThreadPool::hardware_threads());
-  }
-  return publish_batch(origin, events, *publish_pool_);
-}
-
-SimSystem::PublishOutcome SimSystem::publish_one(BrokerId origin, const model::Event& event,
-                                                 Accounting& acct, core::MatchScratch* scratch,
-                                                 uint64_t trace_id) const {
   PublishOutcome out;
-  if (trace_id) {
+  if (cfg_.trace) {
     routing::RouterOptions ropts = cfg_.router;
-    ropts.trace_id = trace_id;
-    out.route = routing::route_event(cfg_.graph, state_, origin, event, ropts, scratch);
+    ropts.trace_id = obs::mint_trace_id(origin, publish_seq_++, /*salt=*/0);
+    out.route = routing::route_event(cfg_.graph, state_, origin, event, ropts);
   } else {
-    out.route = routing::route_event(cfg_.graph, state_, origin, event, cfg_.router, scratch);
+    out.route = routing::route_event(cfg_.graph, state_, origin, event, cfg_.router);
   }
 
   const size_t ebytes = event_wire_bytes(event);
   for (size_t i = 0; i + 1 < out.route.visited.size(); ++i) {
     // Forwarded event carries BROCLI (one byte per broker as a bitmap).
-    acct.record(MsgType::kEventForward, ebytes + (broker_count() + 7) / 8);
+    acct_.record(MsgType::kEventForward, ebytes + (broker_count() + 7) / 8);
   }
 
   for (const auto& d : out.route.deliveries) {
     out.candidates.insert(out.candidates.end(), d.ids.begin(), d.ids.end());
     if (d.owner != d.examined_at) {
-      acct.record(MsgType::kEventDelivery,
-                  ebytes + d.ids.size() * wire_.codec.encoded_size());
+      acct_.record(MsgType::kEventDelivery,
+                   ebytes + d.ids.size() * wire_.codec.encoded_size());
     }
     // Exact re-filtering at the owner: SACS summarization may have produced
     // false positives; the home table is authoritative.
@@ -281,10 +222,7 @@ SimSystem::PublishOutcome SimSystem::publish_one(BrokerId origin, const model::E
   // shadow-sampled quality probe. `delivered` IS the exact oracle result
   // (home-table re-filter), so the sampled FP count is candidates−delivered;
   // the sampled events additionally get a match_into-vs-match_reference
-  // differential run per visited broker (expected always equal). Counter
-  // mutation is relaxed-atomic, so the const publish path and concurrent
-  // publish_batch shards record safely; totals are commutative and thus
-  // identical for every sharding.
+  // differential run per visited broker (expected always equal).
   walk_metrics_.fold(out.route);
   if (!cfg_.combine_subsumption && probe_.should_sample(event)) {
     bool diverged = false;
@@ -297,6 +235,7 @@ SimSystem::PublishOutcome SimSystem::publish_one(BrokerId origin, const model::E
     }
     probe_.record(out.candidates.size(), out.delivered.size(), diverged);
   }
+  for (const obs::Span& s : out.route.spans) trace_ring_.append(s);
   return out;
 }
 

