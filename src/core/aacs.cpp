@@ -86,28 +86,22 @@ void Aacs::insert(const IntervalSet& region, model::SubId id) {
   for (const auto& iv : region.intervals()) insert(iv, one);
 }
 
-void Aacs::remove(model::SubId id) {
+void Aacs::remove(std::span<const model::SubId> ids) {
+  assert(std::is_sorted(ids.begin(), ids.end()));
   bool changed = false;
-  for (auto& p : pieces_) {
-    auto it = std::lower_bound(p.ids.begin(), p.ids.end(), id);
-    if (it != p.ids.end() && *it == id) {
-      p.ids.erase(it);
-      changed = true;
-    }
-  }
-  if (!changed) return;
-  std::erase_if(pieces_, [](const Piece& p) { return p.ids.empty(); });
-  coalesce(0, pieces_.size());
+  for (auto& p : pieces_) changed |= model::erase_ids(p.ids, ids);
+  if (changed) drop_empty_pieces();
 }
 
 void Aacs::remove_broker(model::BrokerId broker) {
   bool changed = false;
   for (auto& p : pieces_) {
-    const size_t before = p.ids.size();
-    std::erase_if(p.ids, [broker](const SubId& id) { return id.broker == broker; });
-    changed |= p.ids.size() != before;
+    changed |= std::erase_if(p.ids, [broker](const SubId& id) { return id.broker == broker; }) > 0;
   }
-  if (!changed) return;
+  if (changed) drop_empty_pieces();
+}
+
+void Aacs::drop_empty_pieces() {
   std::erase_if(pieces_, [](const Piece& p) { return p.ids.empty(); });
   coalesce(0, pieces_.size());
 }

@@ -63,9 +63,12 @@ class Aacs {
   /// region. An empty set inserts nothing (unsatisfiable constraint).
   void insert(const IntervalSet& region, model::SubId id);
 
-  /// Removes a subscription id from every piece; empty pieces disappear and
-  /// neighbouring pieces with identical lists coalesce.
-  void remove(model::SubId id);
+  /// Removes a sorted batch of subscription ids (duplicates and absent ids
+  /// allowed) from every piece; empty pieces disappear and neighbouring
+  /// pieces with identical lists coalesce. The result equals removing the
+  /// ids one at a time.
+  void remove(std::span<const model::SubId> ids);
+  void remove(model::SubId id) { remove(std::span(&id, 1)); }
 
   /// Removes every id owned by `broker` (all ids with c1 == broker): the
   /// epoch-based discard of a restarted broker's pre-crash rows.
@@ -97,6 +100,8 @@ class Aacs {
 
  private:
   void coalesce(size_t begin_hint, size_t end_hint);
+  /// The shared tail of the removals: drops emptied pieces and coalesces.
+  void drop_empty_pieces();
 
   AacsMode mode_ = AacsMode::kExact;
   std::vector<Piece> pieces_;  // sorted by iv.lo, pairwise disjoint

@@ -280,8 +280,31 @@ std::vector<SubId> match_reference(const BrokerSummary& summary, const model::Ev
   return out;  // merge order is sorted order
 }
 
-void NaiveMatcher::remove(model::SubId id) {
-  std::erase_if(subs_, [&](const model::OwnedSubscription& os) { return os.id == id; });
+namespace {
+
+bool id_less(const model::OwnedSubscription& os, SubId id) { return os.id < id; }
+
+}  // namespace
+
+void NaiveMatcher::add(model::OwnedSubscription sub) {
+  if (subs_.empty() || subs_.back().id < sub.id) {
+    subs_.push_back(std::move(sub));
+    return;
+  }
+  const auto at = std::lower_bound(subs_.begin(), subs_.end(), sub.id, id_less);
+  subs_.insert(at, std::move(sub));
+}
+
+void NaiveMatcher::remove(SubId id) {
+  const auto lo = std::lower_bound(subs_.begin(), subs_.end(), id, id_less);
+  auto hi = lo;
+  while (hi != subs_.end() && hi->id == id) ++hi;
+  subs_.erase(lo, hi);
+}
+
+const model::OwnedSubscription* NaiveMatcher::find(SubId id) const {
+  const auto it = std::lower_bound(subs_.begin(), subs_.end(), id, id_less);
+  return it != subs_.end() && it->id == id ? &*it : nullptr;
 }
 
 std::vector<SubId> NaiveMatcher::match(const model::Event& event) const {

@@ -142,14 +142,20 @@ std::vector<model::SubId> match_reference(const BrokerSummary& summary,
                                           MatchDiag* diag = nullptr);
 
 /// Oracle/baseline: stores whole subscriptions and scans them per event.
+/// Also a home broker's exact table, kept sorted by id so that a lookup is
+/// a binary search; ids minted in ascending order append in O(1).
 class NaiveMatcher {
  public:
-  void add(model::OwnedSubscription sub) { subs_.push_back(std::move(sub)); }
+  void add(model::OwnedSubscription sub);
   void remove(model::SubId id);
+
+  /// The subscription with this id, or null when the table has none.
+  [[nodiscard]] const model::OwnedSubscription* find(model::SubId id) const;
 
   /// Exact matches, sorted by id.
   [[nodiscard]] std::vector<model::SubId> match(const model::Event& event) const;
 
+  /// Every subscription, sorted by id.
   [[nodiscard]] const std::vector<model::OwnedSubscription>& subs() const noexcept {
     return subs_;
   }

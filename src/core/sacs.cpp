@@ -23,11 +23,6 @@ void merge_into(std::vector<SubId>& dst, std::span<const SubId> src) {
   dst = std::move(out);
 }
 
-void remove_id(std::vector<SubId>& ids, SubId id) {
-  auto it = std::lower_bound(ids.begin(), ids.end(), id);
-  if (it != ids.end() && *it == id) ids.erase(it);
-}
-
 }  // namespace
 
 void Sacs::insert(const StringPattern& pattern, model::SubId id) {
@@ -84,33 +79,23 @@ void Sacs::insert(const StringPattern& pattern, std::span<const model::SubId> id
   pat_rows_.push_back(std::move(fresh));
 }
 
-void Sacs::remove(model::SubId id) {
-  for (auto& row : pat_rows_) remove_id(row.ids, id);
-  std::erase_if(pat_rows_, [](const Row& row) { return row.ids.empty(); });
-  bool eq_changed = false;
-  for (auto& row : eq_rows_) {
-    remove_id(row.ids, id);
-    eq_changed |= row.ids.empty();
-  }
-  if (eq_changed) {
-    std::erase_if(eq_rows_, [](const Row& row) { return row.ids.empty(); });
-    reindex_eq();
-  }
+void Sacs::remove(std::span<const model::SubId> ids) {
+  for (auto& row : pat_rows_) model::erase_ids(row.ids, ids);
+  for (auto& row : eq_rows_) model::erase_ids(row.ids, ids);
+  drop_empty_rows();
 }
 
 void Sacs::remove_broker(model::BrokerId broker) {
   const auto owned = [broker](const SubId& id) { return id.broker == broker; };
   for (auto& row : pat_rows_) std::erase_if(row.ids, owned);
-  std::erase_if(pat_rows_, [](const Row& row) { return row.ids.empty(); });
-  bool eq_changed = false;
-  for (auto& row : eq_rows_) {
-    std::erase_if(row.ids, owned);
-    eq_changed |= row.ids.empty();
-  }
-  if (eq_changed) {
-    std::erase_if(eq_rows_, [](const Row& row) { return row.ids.empty(); });
-    reindex_eq();
-  }
+  for (auto& row : eq_rows_) std::erase_if(row.ids, owned);
+  drop_empty_rows();
+}
+
+void Sacs::drop_empty_rows() {
+  const auto empty = [](const Row& row) { return row.ids.empty(); };
+  std::erase_if(pat_rows_, empty);
+  if (std::erase_if(eq_rows_, empty) > 0) reindex_eq();
 }
 
 std::vector<model::SubId> Sacs::find(const std::string& value) const {

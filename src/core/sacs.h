@@ -46,10 +46,13 @@ class Sacs {
   /// Bulk variant used by merge; `ids` sorted and unique.
   void insert(const StringPattern& pattern, std::span<const model::SubId> ids);
 
-  /// Removes a subscription id from every row. Generalized rows persist
-  /// until their id list empties (the covered original patterns are gone;
-  /// see BrokerSummary::rebuild for the exact-restoration path).
-  void remove(model::SubId id);
+  /// Removes a sorted batch of subscription ids (duplicates and absent ids
+  /// allowed) from every row. Generalized rows persist until their id list
+  /// empties (the covered original patterns are gone; see
+  /// BrokerSummary::rebuild for the exact-restoration path). The result
+  /// equals removing the ids one at a time.
+  void remove(std::span<const model::SubId> ids);
+  void remove(model::SubId id) { remove(std::span(&id, 1)); }
 
   /// Removes every id owned by `broker` (epoch-based discard of a
   /// restarted broker's pre-crash rows).
@@ -98,6 +101,9 @@ class Sacs {
 
  private:
   void reindex_eq();
+  /// The shared tail of the removals: drops emptied rows, re-indexing the
+  /// equality rows when one of them went.
+  void drop_empty_rows();
 
   GeneralizePolicy policy_;
   std::vector<Row> eq_rows_;   // pattern.op == kEq, indexed below

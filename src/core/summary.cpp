@@ -144,17 +144,25 @@ void BrokerSummary::add(const model::Subscription& sub, model::SubId id) {
   bump_version();
 }
 
-void BrokerSummary::remove(model::SubId id) {
+void BrokerSummary::remove(std::span<const model::SubId> ids) {
+  if (ids.empty()) return;
+  std::vector<model::SubId> touched;  // the ids whose mask names attribute a
   for (AttrId a = 0; a < schema_->attr_count(); ++a) {
-    if (!(id.attrs & model::attr_bit(a))) continue;
+    touched.clear();
+    for (const model::SubId& id : ids) {
+      if (id.attrs & model::attr_bit(a)) touched.push_back(id);
+    }
+    if (touched.empty()) continue;
     if (is_arithmetic(schema_->type_of(a))) {
-      aacs_[a].remove(id);
+      aacs_[a].remove(touched);
     } else {
-      sacs_[a].remove(id);
+      sacs_[a].remove(touched);
     }
   }
-  const size_t d = static_cast<size_t>(id.attr_count());
-  approx_id_entries_ -= std::min(approx_id_entries_, d);
+  for (const model::SubId& id : ids) {
+    const size_t d = static_cast<size_t>(id.attr_count());
+    approx_id_entries_ -= std::min(approx_id_entries_, d);
+  }
   bump_version();
 }
 

@@ -64,8 +64,11 @@ class BrokerSummary {
   /// the subscription's attribute mask (checked, throws std::invalid_argument).
   void add(const model::Subscription& sub, model::SubId id);
 
-  /// Removes one subscription id from every structure its c3 mask touches.
-  void remove(model::SubId id);
+  /// Removes a sorted batch of subscription ids (duplicates and absent ids
+  /// allowed), each from every structure its c3 mask touches. The result
+  /// equals removing the ids one at a time, in one pass over the rows.
+  void remove(std::span<const model::SubId> ids);
+  void remove(model::SubId id) { remove(std::span(&id, 1)); }
 
   /// Removes every id owned by `broker` from every structure: the
   /// epoch-based anti-entropy discard applied when a peer announces a

@@ -1,5 +1,6 @@
 #include "model/sub_id.h"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
@@ -12,6 +13,27 @@ std::string SubId::to_string() const {
 int bits_for(uint64_t n) noexcept {
   if (n <= 1) return 1;
   return std::bit_width(n - 1);
+}
+
+bool erase_ids(std::vector<SubId>& ids, std::span<const SubId> gone) {
+  if (ids.empty() || gone.empty() || gone.back() < ids.front() || ids.back() < gone.front()) {
+    return false;
+  }
+  const size_t before = ids.size();
+  if (gone.size() < ids.size()) {
+    // Fewer removals than entries: binary-search each one, left to right.
+    auto from = ids.begin();
+    for (const SubId& id : gone) {
+      from = std::lower_bound(from, ids.end(), id);
+      if (from == ids.end()) break;
+      if (*from == id) from = ids.erase(from);
+    }
+  } else {
+    std::erase_if(ids, [&](const SubId& id) {
+      return std::binary_search(gone.begin(), gone.end(), id);
+    });
+  }
+  return ids.size() != before;
 }
 
 SubIdCodec::SubIdCodec(uint32_t num_brokers, uint64_t max_subs_per_broker, size_t attr_count)

@@ -15,7 +15,9 @@
 #include <compare>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "model/schema.h"
 
@@ -66,6 +68,10 @@ class SubIdCodec {
 
 /// Bits needed to represent n distinct values (>= 1 value -> >= 1 bit).
 int bits_for(uint64_t n) noexcept;
+
+/// Erases every id of `gone` (sorted; duplicates and absent ids allowed)
+/// from the sorted, unique `ids`. Returns whether anything was erased.
+bool erase_ids(std::vector<SubId>& ids, std::span<const SubId> gone);
 
 }  // namespace subsum::model
 

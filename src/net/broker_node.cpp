@@ -59,7 +59,6 @@ BrokerNode::BrokerNode(BrokerConfig cfg)
   ctr_delta_fallbacks_ = metrics_.counter("subsum_summary_full_fallback_total");
   ctr_digest_mismatch_ = metrics_.counter("subsum_summary_digest_mismatch_total");
   ctr_sync_requests_ = metrics_.counter("subsum_summary_sync_total");
-  ctr_shadow_expired_ = metrics_.counter("subsum_summary_shadow_expired_total");
   hist_match_ = metrics_.histogram_ex("subsum_match_latency_us");
   gauge_trace_dropped_ = metrics_.gauge("subsum_trace_spans_dropped_total");
   hist_peer_rpc_.resize(cfg_.graph.size());
@@ -136,7 +135,7 @@ BrokerNode::BrokerNode(BrokerConfig cfg)
       if (le.id.broker != cfg_.id || le.ttl == 0) continue;
       // Restart re-arms the full window: the owner gets one whole lease to
       // re-attach or renew against the new incarnation before expiry.
-      leases_[le.id.local] = Lease{le.ttl, le.ttl};
+      leases_[le.id] = Lease{le.ttl, le.ttl};
     }
   }
   // Incarnation breadcrumbs: every dump opens with what this process knew
@@ -376,7 +375,7 @@ void BrokerNode::handle_connection(Socket sock) {
           on_profile(sock, *conn, *frame);
           break;
         default:
-          send_frame(sock, MsgKind::kError, {});
+          reply(sock, *conn, MsgKind::kError);
           break;
       }
     }
@@ -400,6 +399,12 @@ void BrokerNode::handle_connection(Socket sock) {
     std::lock_guard wl(conn->write_mu);
     conn->sock = nullptr;
   }
+}
+
+void BrokerNode::reply(Socket& s, ClientConn& conn, MsgKind kind,
+                       std::span<const std::byte> payload) {
+  std::lock_guard wl(conn.write_mu);
+  send_frame(s, kind, payload);
 }
 
 void BrokerNode::enqueue_notify(const std::shared_ptr<ClientConn>& conn,
@@ -514,12 +519,14 @@ void BrokerNode::writer_loop(std::shared_ptr<ClientConn> conn) {
   if (leftover) governor_->sub_usage(leftover);
 }
 
-void BrokerNode::record_span(const obs::Span& sp) {
+void BrokerNode::record_span(uint64_t trace, obs::Phase phase, uint32_t peer,
+                             uint64_t bytes) {
+  if (!trace) return;
   if (governor_->shedding(Governor::Shed::kTrace)) {
     governor_->count_shed(Governor::Shed::kTrace);
     return;
   }
-  trace_ring_.append(sp);
+  trace_ring_.append({trace, cfg_.id, phase, peer, obs::now_us(), bytes});
 }
 
 void BrokerNode::on_subscribe(Socket& s, const std::shared_ptr<ClientConn>& conn,
@@ -540,21 +547,17 @@ void BrokerNode::on_subscribe(Socket& s, const std::shared_ptr<ClientConn>& conn
     if (!governor_->admit_subscription(home_.size())) {
       rejected = true;
     } else {
-        id = SubId{cfg_.id, next_local_++, sub.mask()};
+      id = SubId{cfg_.id, next_local_++, sub.mask()};
       held_.add(sub, id);
       home_.add({id, std::move(sub)});
       subscribers_[id.local] = conn;
-      if (lease > 0) leases_[id.local] = Lease{lease, lease};
+      if (lease > 0) leases_[id] = Lease{lease, lease};
       if (store_) {
         // Durable before acked: the client may treat the ack as a promise
         // that the subscription survives kill -9.
-        store_->log_subscribe(home_.subs().back());
+        store_->log_subscribe(*home_.find(id));
         if (lease > 0) store_->log_lease(id, lease);
-        {
-          obs::Profiler::ScopedRole fsync_role(obs::ThreadRole::kFsync);
-          store_->commit();
-          maybe_compact_locked();
-        }
+        commit_locked();
       }
     }
   }
@@ -563,14 +566,12 @@ void BrokerNode::on_subscribe(Socket& s, const std::shared_ptr<ClientConn>& conn
     // (the broker did NOT act), unlike the id-space exhaustion above which
     // is permanent and kills the connection.
     governor_->count_rejected_subscription();
-    std::lock_guard wl(conn->write_mu);
-    send_frame(s, MsgKind::kError,
-               encode(ErrorMsg{ErrorMsg::kOverCapacity, governor_->retry_after_hint()}));
+    reply(s, *conn, MsgKind::kError,
+          encode(ErrorMsg{ErrorMsg::kOverCapacity, governor_->retry_after_hint()}));
     return;
   }
   owned_locals.push_back(id.local);
-  std::lock_guard wl(conn->write_mu);
-  send_frame(s, MsgKind::kSubscribeAck, encode(SubscribeAckMsg{id}));
+  reply(s, *conn, MsgKind::kSubscribeAck, encode(SubscribeAckMsg{id}));
 }
 
 void BrokerNode::on_attach(Socket& s, const std::shared_ptr<ClientConn>& conn, const Frame& f,
@@ -580,23 +581,19 @@ void BrokerNode::on_attach(Socket& s, const std::shared_ptr<ClientConn>& conn, c
   {
     std::lock_guard lk(mu_);
     for (const SubId& id : msg.ids) {
-      if (id.broker != cfg_.id) continue;
-      const auto& subs = home_.subs();
-      const bool known = std::any_of(subs.begin(), subs.end(),
-                                     [&](const auto& os) { return os.id == id; });
-      if (!known) continue;  // e.g. lost with a torn WAL tail: client must re-subscribe
+      // Unknown ids (e.g. lost with a torn WAL tail) must be re-subscribed.
+      if (!home_.find(id)) continue;
       subscribers_[id.local] = conn;
       owned_locals.push_back(id.local);
       // A re-attach is a liveness signal from the owner: treat it as a
       // lease renewal so reconnecting clients never race expiry.
-      if (auto lit = leases_.find(id.local); lit != leases_.end()) {
+      if (auto lit = leases_.find(id); lit != leases_.end()) {
         lit->second.remaining = lit->second.ttl;
       }
       ++bound;
     }
   }
-  std::lock_guard wl(conn->write_mu);
-  send_frame(s, MsgKind::kAttachAck, encode(AttachAckMsg{bound}));
+  reply(s, *conn, MsgKind::kAttachAck, encode(AttachAckMsg{bound}));
 }
 
 void BrokerNode::on_unsubscribe(Socket& s, ClientConn& conn, const Frame& f) {
@@ -604,22 +601,9 @@ void BrokerNode::on_unsubscribe(Socket& s, ClientConn& conn, const Frame& f) {
   const SubId id = get_sub_id(r);
   {
     std::lock_guard lk(mu_);
-    home_.remove(id);
-    held_.remove(id);
-    subscribers_.erase(id.local);
-    if (id.broker == cfg_.id) leases_.erase(id.local);
-    pending_removals_.push_back(id);
-    if (store_) {
-      store_->log_unsubscribe(id);
-      {
-        obs::Profiler::ScopedRole fsync_role(obs::ThreadRole::kFsync);
-        store_->commit();
-        maybe_compact_locked();
-      }
-    }
+    if (!drop_subscriptions_locked(std::span(&id, 1)).empty()) commit_locked();
   }
-  std::lock_guard wl(conn.write_mu);
-  send_frame(s, MsgKind::kUnsubscribeAck, {});
+  reply(s, conn, MsgKind::kUnsubscribeAck);
 }
 
 void BrokerNode::on_publish(Socket& s, ClientConn& conn, const Frame& f) {
@@ -630,10 +614,9 @@ void BrokerNode::on_publish(Socket& s, ClientConn& conn, const Frame& f) {
   const auto adm = governor_->admit_publish();
   const uint64_t t_admitted = obs::now_us();
   if (!adm.ok) {
-    std::lock_guard wl(conn.write_mu);
-    send_frame(s, MsgKind::kError,
-               encode(ErrorMsg{adm.shed ? ErrorMsg::kShedding : ErrorMsg::kThrottled,
-                               adm.retry_after_ms}));
+    reply(s, conn, MsgKind::kError,
+          encode(ErrorMsg{adm.shed ? ErrorMsg::kShedding : ErrorMsg::kThrottled,
+                          adm.retry_after_ms}));
     return;
   }
   util::BufReader r(f.payload);
@@ -662,8 +645,86 @@ void BrokerNode::on_publish(Socket& s, ClientConn& conn, const Frame& f) {
   stages_.observe(obs::Stage::kE2e, obs::now_us() - t_in, trace);
   util::BufWriter w;
   w.put_u64(trace);
-  std::lock_guard wl(conn.write_mu);
-  send_frame(s, MsgKind::kPublishAck, w.bytes());
+  reply(s, conn, MsgKind::kPublishAck, w.bytes());
+}
+
+std::vector<SubId> BrokerNode::drop_subscriptions_locked(std::span<const SubId> ids) {
+  std::vector<SubId> dropped;
+  for (const SubId& id : ids) {
+    if (!home_.find(id)) continue;
+    home_.remove(id);
+    subscribers_.erase(id.local);
+    leases_.erase(id);
+    pending_removals_.push_back(id);
+    if (store_) store_->log_unsubscribe(id);
+    dropped.push_back(id);
+  }
+  held_.remove(dropped);
+  return dropped;
+}
+
+void BrokerNode::commit_locked() {
+  if (!store_) return;
+  obs::Profiler::ScopedRole fsync_role(obs::ThreadRole::kFsync);
+  store_->commit();
+  maybe_compact_locked();
+}
+
+void BrokerNode::notify_local(std::span<const SubId> ids, const model::Event& event,
+                              uint64_t trace) {
+  std::map<std::shared_ptr<ClientConn>, std::vector<SubId>> per_conn;
+  {
+    std::lock_guard lk(mu_);
+    for (const SubId& id : ids) {
+      const auto* os = home_.find(id);
+      if (!os || !os->sub.matches(event)) continue;
+      if (auto it = subscribers_.find(id.local); it != subscribers_.end()) {
+        per_conn[it->second].push_back(id);
+      }
+    }
+  }
+  for (auto& [client, cids] : per_conn) {
+    enqueue_notify(client, encode(NotifyMsg{std::move(cids), event}, cfg_.schema), trace);
+  }
+}
+
+routing::EpochCheck BrokerNode::observe_epochs_locked(BrokerId from, uint64_t epoch,
+                                                      const std::vector<BrokerId>& merged,
+                                                      const std::vector<uint64_t>& epochs) {
+  const auto check = peer_epochs_.observe(from, epoch);
+  if (check == routing::EpochCheck::kStale) {
+    ctr_stale_->inc();
+    return check;
+  }
+  if (check == routing::EpochCheck::kNewer) {
+    // The sender restarted: everything we hold on its behalf is from the
+    // old incarnation.
+    held_.remove_broker(from);
+    ctr_superseded_->inc();
+  }
+  for (size_t i = 0; i < merged.size(); ++i) {
+    const BrokerId b = merged[i];
+    if (b == cfg_.id || b == from) continue;
+    const uint64_t e = i < epochs.size() ? epochs[i] : 0;
+    if (peer_epochs_.observe(b, e) == routing::EpochCheck::kNewer) {
+      // Transitive case: the sender aggregated b's post-restart state, so
+      // our pre-restart rows for b are superseded too. (A kStale entry is
+      // merged anyway: stale rows only cause spurious deliveries, which
+      // the owner's exact re-filter rejects, and they wash out at the next
+      // direct announcement from b.)
+      held_.remove_broker(b);
+      ctr_superseded_->inc();
+    }
+  }
+  return check;
+}
+
+void BrokerNode::union_merged_locked(std::vector<BrokerId> merged) {
+  std::sort(merged.begin(), merged.end());
+  std::vector<BrokerId> out;
+  std::set_union(merged_brokers_.begin(), merged_brokers_.end(), merged.begin(), merged.end(),
+                 std::back_inserter(out));
+  merged_brokers_ = std::move(out);
 }
 
 void BrokerNode::ingest_full_summary(SummaryMsg msg) {
@@ -673,32 +734,11 @@ void BrokerNode::ingest_full_summary(SummaryMsg msg) {
   std::lock_guard lk(mu_);
   // Anti-entropy by incarnation: an announcement stamped with an epoch
   // older than one already seen from that sender is a zombie of a
-  // pre-crash incarnation — drop it wholesale.
-  const auto from_check = peer_epochs_.observe(msg.from, image_epoch);
-  if (from_check == routing::EpochCheck::kStale) {
-    ctr_stale_->inc();
-  } else {
-    if (from_check == routing::EpochCheck::kNewer) {
-      // The sender restarted: everything we hold on its behalf is from
-      // the old incarnation. The image below carries its full current
-      // state (sends are state-based), so discard-then-merge converges.
-      held_.remove_broker(msg.from);
-      ctr_superseded_->inc();
-    }
-    for (size_t i = 0; i < msg.merged_brokers.size(); ++i) {
-      const BrokerId b = msg.merged_brokers[i];
-      if (b == cfg_.id || b == msg.from) continue;
-      const uint64_t e = i < msg.epochs.size() ? msg.epochs[i] : 0;
-      if (peer_epochs_.observe(b, e) == routing::EpochCheck::kNewer) {
-        // Transitive case: the sender aggregated b's post-restart
-        // state, so our pre-restart rows for b are superseded too. (A
-        // kStale entry is merged anyway: stale rows only cause spurious
-        // deliveries, which the owner's exact re-filter rejects, and
-        // they wash out at the next direct announcement from b.)
-        held_.remove_broker(b);
-        ctr_superseded_->inc();
-      }
-    }
+  // pre-crash incarnation — drop it wholesale. After a newer epoch, the
+  // image below carries the sender's full current state (sends are
+  // state-based), so discard-then-merge converges.
+  if (observe_epochs_locked(msg.from, image_epoch, msg.merged_brokers, msg.epochs) !=
+      routing::EpochCheck::kStale) {
     // Mirror the sender's announced image BEFORE the removal piggyback
     // touches it: the shadow is the base later deltas apply to and must
     // match the sender's last_sent copy bit for bit. v3 frames carry no
@@ -708,30 +748,19 @@ void BrokerNode::ingest_full_summary(SummaryMsg msg) {
     const uint64_t digest = msg.digest ? msg.digest : core::image_digest(img);
     auto& sh = shadows_[msg.from];
     if (sh.digest != digest || sh.version != msg.version) shadows_changed_ = true;
-    sh.image = std::move(img);
-    sh.version = msg.version;
-    sh.digest = digest;
-    sh.idle_periods = 0;
-    for (const SubId& id : msg.removals) incoming.remove(id);
+    sh = {std::move(img), msg.version, digest};
+    std::sort(msg.removals.begin(), msg.removals.end());
+    incoming.remove(msg.removals);
     held_.merge(incoming);
-    for (const SubId& id : msg.removals) held_.remove(id);
-    std::vector<BrokerId> merged;
-    std::sort(msg.merged_brokers.begin(), msg.merged_brokers.end());
-    std::set_union(merged_brokers_.begin(), merged_brokers_.end(), msg.merged_brokers.begin(),
-                   msg.merged_brokers.end(), std::back_inserter(merged));
-    merged_brokers_ = std::move(merged);
-    // The held image changed: refresh wire-vs-model drift and the
-    // per-attribute row-occupancy distributions while it is current.
-    core::export_model_drift(metrics_, held_, wire_);
-    core::export_row_occupancy(metrics_, held_);
+    held_.remove(msg.removals);
+    union_merged_locked(std::move(msg.merged_brokers));
   }
   if (msg.from < communicated_.size()) communicated_[msg.from] = 1;
 }
 
 void BrokerNode::on_summary(Socket& s, ClientConn& conn, const Frame& f) {
   ingest_full_summary(decode_summary_msg(f.payload));
-  std::lock_guard wl(conn.write_mu);
-  send_frame(s, MsgKind::kSummaryAck, {});
+  reply(s, conn, MsgKind::kSummaryAck);
 }
 
 void BrokerNode::on_summary_delta(Socket& s, ClientConn& conn, const Frame& f) {
@@ -742,28 +771,15 @@ void BrokerNode::on_summary_delta(Socket& s, ClientConn& conn, const Frame& f) {
   bool stale = false;
   {
     std::lock_guard lk(mu_);
-    const auto from_check = peer_epochs_.observe(msg.from, hdr.epoch);
+    const auto from_check =
+        observe_epochs_locked(msg.from, hdr.epoch, msg.merged_brokers, msg.epochs);
     if (from_check == routing::EpochCheck::kStale) {
       // Zombie incarnation: drop, but ack kApplied so the stale sender
       // does not spiral into repair loops against state it cannot own.
-      ctr_stale_->inc();
       stale = true;
     } else {
-      if (from_check == routing::EpochCheck::kNewer) {
-        held_.remove_broker(msg.from);
-        ctr_superseded_->inc();
-        // A new incarnation deltas against a base this side cannot hold.
-        shadows_.erase(msg.from);
-      }
-      for (size_t i = 0; i < msg.merged_brokers.size(); ++i) {
-        const BrokerId b = msg.merged_brokers[i];
-        if (b == cfg_.id || b == msg.from) continue;
-        const uint64_t e = i < msg.epochs.size() ? msg.epochs[i] : 0;
-        if (peer_epochs_.observe(b, e) == routing::EpochCheck::kNewer) {
-          held_.remove_broker(b);
-          ctr_superseded_->inc();
-        }
-      }
+      // A new incarnation deltas against a base this side cannot hold.
+      if (from_check == routing::EpochCheck::kNewer) shadows_.erase(msg.from);
       auto it = shadows_.find(msg.from);
       if (it == shadows_.end() || it->second.version != hdr.base_version ||
           it->second.digest != hdr.base_digest) {
@@ -783,7 +799,6 @@ void BrokerNode::on_summary_delta(Socket& s, ClientConn& conn, const Frame& f) {
         } else {
           sh.version = hdr.new_version;
           sh.digest = got;
-          sh.idle_periods = 0;
           if (!delta.empty()) shadows_changed_ = true;
           // Fold the delta into held_ incrementally: additions go through
           // row insertion now (matching must not miss them this period);
@@ -805,15 +820,9 @@ void BrokerNode::on_summary_delta(Socket& s, ClientConn& conn, const Frame& f) {
             }
           }
           if (shrank) held_dirty_ = true;
-          for (const SubId& id : msg.removals) held_.remove(id);
-          std::vector<BrokerId> merged;
-          std::sort(msg.merged_brokers.begin(), msg.merged_brokers.end());
-          std::set_union(merged_brokers_.begin(), merged_brokers_.end(),
-                         msg.merged_brokers.begin(), msg.merged_brokers.end(),
-                         std::back_inserter(merged));
-          merged_brokers_ = std::move(merged);
-          core::export_model_drift(metrics_, held_, wire_);
-          core::export_row_occupancy(metrics_, held_);
+          std::sort(msg.removals.begin(), msg.removals.end());
+          held_.remove(msg.removals);
+          union_merged_locked(std::move(msg.merged_brokers));
         }
       }
     }
@@ -834,8 +843,7 @@ void BrokerNode::on_summary_delta(Socket& s, ClientConn& conn, const Frame& f) {
   }
   SummaryDeltaAckMsg ack;
   ack.status = need_full ? SummaryDeltaAckMsg::kNeedFull : SummaryDeltaAckMsg::kApplied;
-  std::lock_guard wl(conn.write_mu);
-  send_frame(s, MsgKind::kSummaryDeltaAck, encode(ack));
+  reply(s, conn, MsgKind::kSummaryDeltaAck, encode(ack));
 }
 
 void BrokerNode::on_summary_sync(Socket& s, ClientConn& conn, const Frame& f) {
@@ -843,25 +851,15 @@ void BrokerNode::on_summary_sync(Socket& s, ClientConn& conn, const Frame& f) {
   std::vector<std::byte> payload;
   {
     std::lock_guard lk(mu_);
-    SummaryMsg msg;
-    msg.from = cfg_.id;
-    msg.merged_brokers = merged_brokers_;
-    msg.epochs = merged_epochs_locked();
     // pending_removals_ stays queued: a sync is a repair pull, not this
     // period's announcement, and removals must reach every neighbor.
-    msg.summary = core::encode_summary(held_, wire_, epoch_);
-    msg.version = held_.version();
-    core::SummaryImage img = core::extract_image(held_);
-    msg.digest = core::image_digest(img);
+    Announced sent;
+    payload = encode(full_summary_locked({}, sent));
     // The requester's shadow becomes exactly this image, so future deltas
     // to it must diff against it.
-    if (req.from < cfg_.graph.size()) {
-      last_sent_[req.from] = LastSent{std::move(img), msg.version, msg.digest, 0};
-    }
-    payload = encode(msg);
+    if (req.from < cfg_.graph.size()) last_sent_[req.from] = LastSent{std::move(sent), 0};
   }
-  std::lock_guard wl(conn.write_mu);
-  send_frame(s, MsgKind::kSummarySyncAck, payload);
+  reply(s, conn, MsgKind::kSummarySyncAck, payload);
 }
 
 void BrokerNode::sync_from_peer(BrokerId peer) {
@@ -877,24 +875,16 @@ void BrokerNode::on_lease_renew(Socket& s, ClientConn& conn, const Frame& f) {
   {
     std::lock_guard lk(mu_);
     for (const SubId& id : msg.ids) {
-      if (id.broker != cfg_.id) continue;
-      auto it = leases_.find(id.local);
-      if (it == leases_.end()) continue;  // permanent or already expired
+      auto it = leases_.find(id);
+      if (it == leases_.end()) continue;  // permanent, expired or not ours
       it->second.remaining = it->second.ttl;
       ++renewed;
       if (store_) store_->log_lease(id, it->second.ttl);
     }
-    if (store_ && renewed > 0) {
-      {
-        obs::Profiler::ScopedRole fsync_role(obs::ThreadRole::kFsync);
-        store_->commit();
-        maybe_compact_locked();
-      }
-    }
+    if (renewed > 0) commit_locked();
   }
   ctr_lease_renewals_->inc(renewed);
-  std::lock_guard wl(conn.write_mu);
-  send_frame(s, MsgKind::kLeaseRenewAck, encode(LeaseRenewAckMsg{renewed}));
+  reply(s, conn, MsgKind::kLeaseRenewAck, encode(LeaseRenewAckMsg{renewed}));
 }
 
 void BrokerNode::begin_period() {
@@ -906,56 +896,27 @@ void BrokerNode::begin_period() {
   std::vector<SubId> expired;
   for (auto it = leases_.begin(); it != leases_.end();) {
     if (--it->second.remaining == 0) {
-      const uint32_t local = it->first;
+      expired.push_back(it->first);
       it = leases_.erase(it);
-      for (const auto& os : home_.subs()) {
-        if (os.id.broker == cfg_.id && os.id.local == local) {
-          expired.push_back(os.id);
-          break;
-        }
-      }
     } else {
       ++it;
     }
   }
+  expired = drop_subscriptions_locked(expired);
   for (const SubId& id : expired) {
-    home_.remove(id);
-    held_.remove(id);
-    subscribers_.erase(id.local);
-    pending_removals_.push_back(id);
-    held_dirty_ = true;
     ctr_lease_expired_->inc();
     flight_.record(obs::FrKind::kLeaseExpired, id.local, id.broker);
     if (log_.enabled(obs::LogLevel::kInfo)) {
       log_.log(obs::LogLevel::kInfo, "lease", "subscription lease expired", 0,
                {{"local", id.local}, {"owner", id.broker}});
     }
-    if (store_) store_->log_unsubscribe(id);
   }
-  if (store_ && !expired.empty()) {
-    {
-      obs::Profiler::ScopedRole fsync_role(obs::ThreadRole::kFsync);
-      store_->commit();
-      maybe_compact_locked();
-    }
+  if (!expired.empty()) {
+    held_dirty_ = true;
+    commit_locked();
   }
-  // 2. Summary (shadow) leases: a peer that stopped announcing takes its
-  // mirrored rows with it at the next rebuild.
-  if (cfg_.summary_lease_periods > 0) {
-    for (auto it = shadows_.begin(); it != shadows_.end();) {
-      if (++it->second.idle_periods > cfg_.summary_lease_periods) {
-        const BrokerId gone = it->first;
-        it = shadows_.erase(it);
-        std::erase(merged_brokers_, gone);
-        held_dirty_ = true;
-        ctr_shadow_expired_->inc();
-      } else {
-        ++it;
-      }
-    }
-  }
-  // 3. Rebuild held_ = own rows + surviving shadow images when anything
-  // shrank (removals/drops are deferred to here) or a shadow changed.
+  // 2. Rebuild held_ = own rows + shadow images when anything shrank
+  // (removals/drops are deferred to here) or a shadow changed.
   // Quiet periods leave both flags clear, so a converged overlay is a
   // fixed point — the convergence assertion the chaos suite keys on.
   if (held_dirty_ || shadows_changed_) {
@@ -963,8 +924,6 @@ void BrokerNode::begin_period() {
     for (const auto& [b, sh] : shadows_) core::merge_into_summary(sh.image, held_);
     held_dirty_ = false;
     shadows_changed_ = false;
-    core::export_model_drift(metrics_, held_, wire_);
-    core::export_row_occupancy(metrics_, held_);
   }
 }
 
@@ -988,30 +947,15 @@ std::optional<BrokerNode::PendingSend> BrokerNode::prepare_summary_send(uint32_t
 
   PendingSend send;
   send.to = *target;
-  send.removals = pending_removals_;
-  pending_removals_.clear();
-  send.image = core::extract_image(held_);
-  send.version = held_.version();
-  send.digest = core::image_digest(send.image);
-
-  SummaryMsg full;
-  full.from = cfg_.id;
-  full.merged_brokers = merged_brokers_;
-  full.epochs = merged_epochs_locked();
-  full.removals = send.removals;
-  full.summary = core::encode_summary(held_, wire_, epoch_);
-  full.version = send.version;
-  full.digest = send.digest;
+  send.removals = std::exchange(pending_removals_, {});
+  const SummaryMsg full = full_summary_locked(send.removals, send);
   auto full_payload = encode(full);
 
   // Delta path: only against an acked base, never to a latched v3 peer,
   // and never past the periodic full-refresh backstop.
   const auto ls = last_sent_.find(*target);
-  const bool refresh_due =
-      cfg_.delta_full_refresh_every > 0 && ls != last_sent_.end() &&
-      ls->second.sends_since_full + 1 >= cfg_.delta_full_refresh_every;
-  if (cfg_.delta_announcements && ls != last_sent_.end() && !peer_wants_full_[*target] &&
-      !refresh_due) {
+  if (ls != last_sent_.end() && !peer_wants_full_[*target] &&
+      ls->second.sends_since_full + 1 < kDeltaFullRefreshEvery) {
     core::DeltaHeader hdr;
     hdr.epoch = epoch_;
     hdr.base_version = ls->second.version;
@@ -1043,7 +987,22 @@ std::optional<BrokerNode::PendingSend> BrokerNode::prepare_summary_send(uint32_t
 void BrokerNode::record_last_sent_locked(PendingSend&& send, bool was_full) {
   LastSent& ls = last_sent_[send.to];
   const uint32_t streak = was_full ? 0 : ls.sends_since_full + 1;
-  ls = LastSent{std::move(send.image), send.version, send.digest, streak};
+  ls = LastSent{std::move(send), streak};
+}
+
+SummaryMsg BrokerNode::full_summary_locked(std::vector<SubId> removals, Announced& sent) const {
+  sent.image = core::extract_image(held_);
+  sent.version = held_.version();
+  sent.digest = core::image_digest(sent.image);
+  SummaryMsg full;
+  full.from = cfg_.id;
+  full.merged_brokers = merged_brokers_;
+  full.epochs = merged_epochs_locked();
+  full.removals = std::move(removals);
+  full.summary = core::encode_summary(held_, wire_, epoch_);
+  full.version = sent.version;
+  full.digest = sent.digest;
+  return full;
 }
 
 std::vector<uint64_t> BrokerNode::merged_epochs_locked() const {
@@ -1064,14 +1023,7 @@ void BrokerNode::maybe_compact_locked() {
   in.merged_epochs = merged_epochs_locked();
   in.held = &held_;
   in.leases.reserve(leases_.size());
-  for (const auto& [local, lease] : leases_) {
-    for (const auto& os : home_.subs()) {
-      if (os.id.broker == cfg_.id && os.id.local == local) {
-        in.leases.push_back({os.id, lease.ttl, lease.remaining});
-        break;
-      }
-    }
-  }
+  for (const auto& [id, lease] : leases_) in.leases.push_back({id, lease.ttl, lease.remaining});
   store_->write_snapshot(in);
   ctr_compactions_->inc();
 }
@@ -1098,28 +1050,10 @@ void BrokerNode::on_trigger(Socket& s, ClientConn& conn, const Frame& f) {
           // under the lock so the image recorded below is the one on the
           // wire even if held_ moved meanwhile.
           ctr_delta_fallbacks_->inc();
-          std::vector<std::byte> full_payload;
-          {
-            std::lock_guard lk(mu_);
-            peer_wants_full_[send->to] = 1;
-            SummaryMsg full;
-            full.from = cfg_.id;
-            full.merged_brokers = merged_brokers_;
-            full.epochs = merged_epochs_locked();
-            full.removals = send->removals;
-            full.summary = core::encode_summary(held_, wire_, epoch_);
-            send->image = core::extract_image(held_);
-            send->version = held_.version();
-            send->digest = core::image_digest(send->image);
-            full.version = send->version;
-            full.digest = send->digest;
-            full_payload = encode(full);
-          }
-          send_to_peer_sync(send->to, MsgKind::kSummary, full_payload, MsgKind::kSummaryAck);
-          ctr_full_sends_->inc();
-          ctr_full_bytes_->inc(full_payload.size());
           std::lock_guard lk(mu_);
-          record_last_sent_locked(std::move(*send), /*was_full=*/true);
+          peer_wants_full_[send->to] = 1;
+          send->kind = MsgKind::kSummary;
+          send->payload = encode(full_summary_locked(send->removals, *send));
         } else {
           ctr_delta_sends_->inc();
           ctr_delta_bytes_->inc(send->payload.size());
@@ -1132,7 +1066,8 @@ void BrokerNode::on_trigger(Socket& s, ClientConn& conn, const Frame& f) {
           // kSummarySync before acking, and on_summary_sync reset this
           // peer's last_sent to that image — nothing more to record.
         }
-      } else {
+      }
+      if (send->kind == MsgKind::kSummary) {
         send_to_peer_sync(send->to, MsgKind::kSummary, send->payload, MsgKind::kSummaryAck);
         ctr_full_sends_->inc();
         ctr_full_bytes_->inc(send->payload.size());
@@ -1149,8 +1084,7 @@ void BrokerNode::on_trigger(Socket& s, ClientConn& conn, const Frame& f) {
                                send->removals.end());
     }
   }
-  std::lock_guard wl(conn.write_mu);
-  send_frame(s, MsgKind::kTriggerAck, {});
+  reply(s, conn, MsgKind::kTriggerAck);
 }
 
 void BrokerNode::on_event(Socket& s, ClientConn& conn, const Frame& f) {
@@ -1158,40 +1092,16 @@ void BrokerNode::on_event(Socket& s, ClientConn& conn, const Frame& f) {
   auto msg = decode_event_msg(f.payload, cfg_.schema);
   stages_.observe(obs::Stage::kIngressDecode, obs::now_us() - t0, msg.trace);
   walk_step(std::move(msg), f.payload.size());
-  std::lock_guard wl(conn.write_mu);
-  send_frame(s, MsgKind::kEventAck, {});
+  reply(s, conn, MsgKind::kEventAck);
 }
 
 void BrokerNode::on_deliver(Socket& s, ClientConn& conn, const Frame& f) {
   const auto msg = decode_deliver_msg(f.payload, cfg_.schema);
-  if (msg.trace) {
-    // The owner-side deliver span: together with the sender's spans this
-    // closes the publish -> deliver causal chain across brokers.
-    record_span({msg.trace, cfg_.id, obs::Phase::kDeliver, msg.examined_at,
-                 obs::now_us(), f.payload.size()});
-  }
-  // Exact re-filter against the home table, then notify the owning client
-  // connections, grouped per connection.
-  std::map<std::shared_ptr<ClientConn>, std::vector<SubId>> per_conn;
-  {
-    std::lock_guard lk(mu_);
-    for (const SubId& id : msg.ids) {
-      if (id.broker != cfg_.id) continue;
-      for (const auto& os : home_.subs()) {
-        if (os.id == id && os.sub.matches(msg.event)) {
-          auto it = subscribers_.find(id.local);
-          if (it != subscribers_.end()) per_conn[it->second].push_back(id);
-          break;
-        }
-      }
-    }
-  }
-  for (auto& [client, ids] : per_conn) {
-    enqueue_notify(client, encode(NotifyMsg{std::move(ids), msg.event}, cfg_.schema),
-                   msg.trace);
-  }
-  std::lock_guard wl(conn.write_mu);
-  send_frame(s, MsgKind::kDeliverAck, {});
+  // The owner-side deliver span: together with the sender's spans this
+  // closes the publish -> deliver causal chain across brokers.
+  record_span(msg.trace, obs::Phase::kDeliver, msg.examined_at, f.payload.size());
+  notify_local(msg.ids, msg.event, msg.trace);
+  reply(s, conn, MsgKind::kDeliverAck);
 }
 
 namespace {
@@ -1315,21 +1225,18 @@ void BrokerNode::on_stats(Socket& s, ClientConn& conn, const Frame&) {
     if (wall > 0.05) last_duty_scrape_ = now;
   }
   const std::string text = metrics_.prometheus_text();
-  std::lock_guard wl(conn.write_mu);
-  send_frame(s, MsgKind::kStatsAck,
-             std::span(reinterpret_cast<const std::byte*>(text.data()), text.size()));
+  reply(s, conn, MsgKind::kStatsAck,
+        std::span(reinterpret_cast<const std::byte*>(text.data()), text.size()));
 }
 
 void BrokerNode::on_trace(Socket& s, ClientConn& conn, const Frame& f) {
   const auto req = decode_trace_request(f.payload);
-  TraceReplyMsg reply;
-  reply.spans = req.trace ? trace_ring_.for_trace(req.trace) : trace_ring_.snapshot();
-  if (req.max_spans && reply.spans.size() > req.max_spans) {
-    reply.spans.erase(reply.spans.begin(), reply.spans.end() - req.max_spans);  // keep newest
+  TraceReplyMsg out;
+  out.spans = req.trace ? trace_ring_.for_trace(req.trace) : trace_ring_.snapshot();
+  if (req.max_spans && out.spans.size() > req.max_spans) {
+    out.spans.erase(out.spans.begin(), out.spans.end() - req.max_spans);  // keep newest
   }
-  const auto payload = encode(reply);
-  std::lock_guard wl(conn.write_mu);
-  send_frame(s, MsgKind::kTraceAck, payload);
+  reply(s, conn, MsgKind::kTraceAck, encode(out));
 }
 
 void BrokerNode::on_dump(Socket& s, ClientConn& conn, const Frame&) {
@@ -1342,8 +1249,7 @@ void BrokerNode::on_dump(Socket& s, ClientConn& conn, const Frame&) {
   if (const std::string path = flight_dump_path(); !path.empty()) {
     flight_.dump_to(path);  // best-effort: the RPC reply is the contract
   }
-  std::lock_guard wl(conn.write_mu);
-  send_frame(s, MsgKind::kDumpAck, bytes);
+  reply(s, conn, MsgKind::kDumpAck, bytes);
 }
 
 void BrokerNode::on_profile(Socket& s, ClientConn& conn, const Frame& f) {
@@ -1353,7 +1259,7 @@ void BrokerNode::on_profile(Socket& s, ClientConn& conn, const Frame& f) {
   // stopped profiler with empty folded stacks (wire format intact).
   const auto req = decode_profile_request(f.payload);
   auto& prof = obs::Profiler::instance();
-  ProfileReplyMsg reply;
+  ProfileReplyMsg out;
   switch (req.action) {
     case ProfileRequestMsg::kStart:
       prof.start(req.hz ? req.hz : obs::kDefaultProfileHz);
@@ -1362,19 +1268,17 @@ void BrokerNode::on_profile(Socket& s, ClientConn& conn, const Frame& f) {
       prof.stop();
       break;
     case ProfileRequestMsg::kFetch:
-      reply.folded = prof.folded();
+      out.folded = prof.folded();
       break;
     case ProfileRequestMsg::kStatus:
     default:
       break;
   }
-  reply.running = prof.running() ? 1 : 0;
-  reply.hz = prof.running() ? prof.hz() : 0;
-  reply.samples = prof.samples_total();
-  reply.dropped = prof.dropped_total();
-  const auto payload = encode(reply);
-  std::lock_guard wl(conn.write_mu);
-  send_frame(s, MsgKind::kProfileAck, payload);
+  out.running = prof.running() ? 1 : 0;
+  out.hz = prof.running() ? prof.hz() : 0;
+  out.samples = prof.samples_total();
+  out.dropped = prof.dropped_total();
+  reply(s, conn, MsgKind::kProfileAck, encode(out));
 }
 
 void BrokerNode::walk_step(EventMsg msg, size_t frame_bytes) {
@@ -1382,10 +1286,7 @@ void BrokerNode::walk_step(EventMsg msg, size_t frame_bytes) {
   // the walk role — the "is matching/forwarding the bottleneck" signal.
   obs::Profiler::ScopedRole walk_role(obs::ThreadRole::kWalk);
   const uint64_t trace = msg.trace;
-  if (trace) {
-    record_span({trace, cfg_.id, obs::Phase::kRecv, obs::Span::kNoPeer,
-                 obs::now_us(), frame_bytes});
-  }
+  record_span(trace, obs::Phase::kRecv, obs::Span::kNoPeer, frame_bytes);
   walk_metrics_.visits->inc();  // this broker examines the event
   // Snapshot what we need under the lock; all networking happens after.
   std::vector<SubId> matched;
@@ -1417,12 +1318,9 @@ void BrokerNode::walk_step(EventMsg msg, size_t frame_bytes) {
       }
     }
   }
-  if (trace) {
-    // bytes carries the matched-id count for match spans (there is no
-    // frame to account).
-    record_span({trace, cfg_.id, obs::Phase::kMatch, obs::Span::kNoPeer,
-                 obs::now_us(), matched.size()});
-  }
+  // bytes carries the matched-id count for match spans (there is no
+  // frame to account).
+  record_span(trace, obs::Phase::kMatch, obs::Span::kNoPeer, matched.size());
 
   // Owners already in the incoming BROCLI were handled upstream.
   std::map<BrokerId, std::vector<SubId>> fresh;
@@ -1435,44 +1333,21 @@ void BrokerNode::walk_step(EventMsg msg, size_t frame_bytes) {
     const size_t id_count = ids.size();
     const DeliverMsg dm{cfg_.id, std::move(ids), msg.event, trace};
     if (owner == cfg_.id) {
-      // Local delivery without a network hop: reuse the deliver path
-      // in-process.
-      std::map<std::shared_ptr<ClientConn>, std::vector<SubId>> per_conn;
-      {
-        std::lock_guard lk(mu_);
-        for (const SubId& id : dm.ids) {
-          for (const auto& os : home_.subs()) {
-            if (os.id == id && os.sub.matches(dm.event)) {
-              auto it = subscribers_.find(id.local);
-              if (it != subscribers_.end()) per_conn[it->second].push_back(id);
-              break;
-            }
-          }
-        }
-      }
-      for (auto& [client, cids] : per_conn) {
-        enqueue_notify(client, encode(NotifyMsg{std::move(cids), dm.event}, cfg_.schema),
-                       trace);
-      }
-      if (trace) {
-        record_span({trace, cfg_.id, obs::Phase::kDeliver, cfg_.id,
-                     obs::now_us(), id_count});
-      }
+      // Local delivery without a network hop: the deliver path in-process.
+      notify_local(dm.ids, dm.event, trace);
+      record_span(trace, obs::Phase::kDeliver, cfg_.id, id_count);
     } else {
       auto payload = encode(dm, cfg_.schema);
       const uint64_t frame_size = payload.size();
       try {
         send_to_peer_sync(owner, MsgKind::kDeliver, payload, MsgKind::kDeliverAck, {}, trace);
         walk_metrics_.delivery_hops->inc();
-        if (trace) {
-          record_span({trace, cfg_.id, obs::Phase::kDeliver, owner,
-                       obs::now_us(), frame_size});
-        }
+        record_span(trace, obs::Phase::kDeliver, owner, frame_size);
       } catch (const PeerUnreachable&) {
         // The owner is down: keep the delivery for the redelivery pass so
         // a restarted broker (whose client re-attached) still hears it.
         walk_metrics_.undeliverable->inc();
-        queue_redelivery(PendingDelivery{owner, std::move(payload), cfg_.redelivery_ttl, trace});
+        queue_redelivery(PendingDelivery{owner, std::move(payload), kRedeliveryTtl, trace});
       }
     }
   }
@@ -1497,10 +1372,7 @@ void BrokerNode::walk_step(EventMsg msg, size_t frame_bytes) {
     try {
       send_to_peer_sync(*next, MsgKind::kEvent, payload, MsgKind::kEventAck, ack_budget, trace);
       walk_metrics_.forward_hops->inc();
-      if (trace) {
-        record_span({trace, cfg_.id, obs::Phase::kForward, *next,
-                     obs::now_us(), payload.size()});
-      }
+      record_span(trace, obs::Phase::kForward, *next, payload.size());
       return;
     } catch (const PeerUnreachable&) {
       // Unexamined re-select: the hop is marked in BROCLI without its
@@ -1545,10 +1417,7 @@ void BrokerNode::flush_pending_deliveries() {
   std::vector<char> down(cfg_.graph.size(), 0);  // short-circuit per owner
   for (auto& pd : work) {
     if (!down[pd.owner]) {
-      if (pd.trace) {
-        record_span({pd.trace, cfg_.id, obs::Phase::kRedeliver, pd.owner,
-                     obs::now_us(), pd.payload.size()});
-      }
+      record_span(pd.trace, obs::Phase::kRedeliver, pd.owner, pd.payload.size());
       try {
         send_to_peer_sync(pd.owner, MsgKind::kDeliver, pd.payload, MsgKind::kDeliverAck, {},
                           pd.trace);
@@ -1620,10 +1489,7 @@ Frame BrokerNode::rpc_to_peer(BrokerId peer, MsgKind kind,
       // Counted per failed attempt, whether or not budget remains; the
       // blackholed-link tests key off exactly this per-peer signal.
       ctr_peer_retries_[peer]->inc();
-      if (trace) {
-        record_span({trace, cfg_.id, obs::Phase::kRetry, peer,
-                     obs::now_us(), payload.size()});
-      }
+      record_span(trace, obs::Phase::kRetry, peer, payload.size());
       std::optional<std::chrono::milliseconds> delay;
       if (!stopping_) delay = backoff.next_delay();
       if (!delay) {

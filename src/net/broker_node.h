@@ -9,9 +9,10 @@
 // equals the iteration performs its single summary send synchronously
 // (connect -> kSummary -> kSummaryAck) before acknowledging the trigger, so
 // a round barrier at the controller yields exactly the paper's iteration
-// semantics. Unlike the bandwidth-measured sim layer, the node sends its
-// full held summary each period (a state-based, self-healing variant;
-// merging is idempotent so this only trades bytes for robustness).
+// semantics. Unlike the bandwidth-measured sim layer, the node announces
+// its whole held summary each period (state-based and self-healing), as a
+// row delta against the image the peer last acked or as a full image
+// (PROTOCOL v4, DESIGN.md §11).
 //
 // Algorithm 3 runs fully in-band: kPublish starts the BROCLI walk at the
 // client's broker; each broker matches, sends kDeliver to fresh owners,
@@ -113,8 +114,6 @@ struct BrokerConfig {
   std::string data_dir;
   /// Compact (snapshot + WAL truncate) once this many records accumulate.
   uint64_t snapshot_wal_threshold = 256;
-  /// Propagation periods a failed delivery is retried before dropping.
-  int redelivery_ttl = 8;
   /// Spans retained in the trace ring (obs/trace.h); oldest overwritten.
   size_t trace_capacity = 4096;
   /// Shadow-sampling fraction for the summary-quality probe: 1 in
@@ -124,25 +123,17 @@ struct BrokerConfig {
   // --- soft-state summaries (PROTOCOL v4) -----------------------------------
   /// Lease length, in propagation periods, stamped on subscriptions that do
   /// not carry their own TTL. 0 = permanent (the pre-v4 behavior). A leased
-  /// subscription whose owner neither renews (kLeaseRenew) nor re-attaches
-  /// within the window is expired at the period boundary exactly like an
-  /// unsubscribe.
+  /// subscription whose owner neither renews (kLeaseRenew, which resets the
+  /// window) nor re-attaches (kAttach, which does too) within the window is
+  /// expired at the next period boundary exactly like an unsubscribe. Only
+  /// the TCP broker has leases; sim::SimSystem subscriptions are permanent.
   uint32_t default_lease_periods = 0;
-  /// Announce summary changes as row deltas against the last acked image.
-  /// Full images are still sent on first contact, to v3 peers (latched on a
-  /// kError ack), on the periodic refresh below, and whenever the delta
-  /// would not pay for itself.
-  bool delta_announcements = true;
-  /// Send the full image instead when the encoded delta frame exceeds this
-  /// fraction of the full frame (counted in subsum_summary_full_fallback_total).
+  /// Summary changes are announced as row deltas against the last acked
+  /// image. A full image is sent instead on first contact, to v3 peers
+  /// (latched on a kError ack), every kDeltaFullRefreshEvery-th send, and
+  /// when the encoded delta frame exceeds this fraction of the full frame
+  /// (counted in subsum_summary_full_fallback_total).
   double delta_max_ratio = 0.5;
-  /// Unconditional full-image refresh every N consecutive delta sends to a
-  /// peer — an anti-entropy backstop on top of digest repair. 0 = never.
-  uint32_t delta_full_refresh_every = 16;
-  /// Age out a peer's mirrored summary after this many periods without an
-  /// announcement from it (its rows leave held_ at the next rebuild).
-  /// 0 = mirrors never expire.
-  uint32_t summary_lease_periods = 0;
   // --- overload governor (net/governor.h) -----------------------------------
   /// Backpressure, admission control, peer circuit breakers, and the
   /// degradation ladder. Defaults are permissive (no rate limit, no
@@ -297,6 +288,11 @@ class BrokerNode {
   void accept_loop();
   void handle_connection(Socket sock);
 
+  /// Writes one reply frame under conn.write_mu, so it never interleaves
+  /// with the writer thread's notifies.
+  static void reply(Socket& s, ClientConn& conn, MsgKind kind,
+                    std::span<const std::byte> payload = {});
+
   /// Queues one kNotify payload on `conn`, enforcing the per-connection
   /// byte/frame budgets (drop-oldest) and the global governor accounting.
   /// `trace` rides along for the outbound-queue stage histograms.
@@ -306,9 +302,10 @@ class BrokerNode {
   /// stalled or dead consumer is disconnected (slow-consumer policy).
   void writer_loop(std::shared_ptr<ClientConn> conn);
 
-  /// Trace-span sink, shed-gated by the degradation ladder (rung >= 2
-  /// drops spans instead of appending).
-  void record_span(const obs::Span& sp);
+  /// Records a span of event `trace`, stamped now; trace 0 (untraced)
+  /// records nothing. Shed-gated by the degradation ladder (rung >= 2 drops
+  /// spans instead of appending).
+  void record_span(uint64_t trace, obs::Phase phase, uint32_t peer, uint64_t bytes);
 
   // Frame handlers; `conn` is this connection's shared write handle.
   void on_subscribe(Socket& s, const std::shared_ptr<ClientConn>& conn, const Frame& f,
@@ -364,10 +361,9 @@ class BrokerNode {
   void ingest_full_summary(SummaryMsg msg);
 
   /// Period-boundary soft-state maintenance, run at trigger iteration 1:
-  /// decrements and expires subscription leases, ages out silent peers'
-  /// shadow images, and — when either (or a received delta's removals)
-  /// dirtied the held state — rebuilds held_ as own-table rows plus the
-  /// surviving shadow images.
+  /// decrements and expires subscription leases and — when an expiry, a
+  /// received delta's removals or a changed shadow dirtied the held state —
+  /// rebuilds held_ as own-table rows plus the shadow images.
   void begin_period();
 
   /// Anti-entropy pull: fetches `peer`'s full image over kSummarySync and
@@ -375,30 +371,68 @@ class BrokerNode {
   /// ack goes out, so divergence heals within the same period.
   void sync_from_peer(overlay::BrokerId peer);
 
+  /// Epoch anti-entropy on an announcement from `from` stamped `epoch`: a
+  /// stale sender is counted (the caller drops the announcement); a
+  /// restarted sender, and each restarted broker it merged, loses the held
+  /// rows of its old incarnation. Returns the sender's check. Under mu_.
+  routing::EpochCheck observe_epochs_locked(overlay::BrokerId from, uint64_t epoch,
+                                            const std::vector<overlay::BrokerId>& merged,
+                                            const std::vector<uint64_t>& epochs);
+
+  /// Folds an announcement's Merged_Brokers into ours. Caller holds mu_.
+  void union_merged_locked(std::vector<overlay::BrokerId> merged);
+
+  /// Drops those of the sorted `ids` the home table knows (others are
+  /// ignored): home and held rows, subscriber binding, lease, removal
+  /// piggyback and WAL record; the caller commits. Returns the dropped ids.
+  /// Caller holds mu_.
+  std::vector<model::SubId> drop_subscriptions_locked(std::span<const model::SubId> ids);
+
+  /// Commits the WAL records logged under mu_ (durable before the ack), then
+  /// compacts when due. No-op for ephemeral brokers.
+  void commit_locked();
+
+  /// Exact re-filter of `ids` against the home table, then one kNotify per
+  /// subscriber connection (ids of other brokers are ignored).
+  void notify_local(std::span<const model::SubId> ids, const model::Event& event,
+                    uint64_t trace);
+
   /// Failed kDeliver payloads, re-tried at the start of each propagation
   /// period until their ttl expires (at-most-once: bounded, in-memory).
+  static constexpr int kRedeliveryTtl = 8;  // periods a failed delivery is retried
   struct PendingDelivery {
     overlay::BrokerId owner = 0;
     std::vector<std::byte> payload;  // encoded DeliverMsg
-    int ttl = 8;                     // periods left before dropping
+    int ttl = kRedeliveryTtl;        // periods left before dropping
     uint64_t trace = 0;              // redeliver spans keep the causal chain
   };
   static constexpr size_t kMaxPendingDeliveries = 1024;  // oldest dropped beyond
+  /// Full-image refresh every N-th send to a peer: an anti-entropy backstop
+  /// on top of digest repair.
+  static constexpr uint32_t kDeltaFullRefreshEvery = 16;
   void queue_redelivery(PendingDelivery pd);
   void flush_pending_deliveries();
+
+  /// One announced summary image with its version and content digest.
+  struct Announced {
+    core::SummaryImage image;
+    uint64_t version = 0;
+    uint64_t digest = 0;
+  };
+
+  /// The full kSummary of held_ carrying `removals`; `sent` receives the
+  /// image, version and digest it announces. Caller holds mu_.
+  SummaryMsg full_summary_locked(std::vector<model::SubId> removals, Announced& sent) const;
 
   /// Builds this period's announcement under `mu_`, choosing the eligible
   /// neighbor and full-vs-delta encoding; returns nullopt when there is
   /// nothing to send. The announced image rides along so the sender can
   /// install it as the peer's delta base once the ack lands.
-  struct PendingSend {
+  struct PendingSend : Announced {
     overlay::BrokerId to = 0;
     MsgKind kind = MsgKind::kSummary;
     std::vector<std::byte> payload;
     std::vector<model::SubId> removals;  // re-queued if the send fails
-    core::SummaryImage image;            // the image this payload announces
-    uint64_t version = 0;
-    uint64_t digest = 0;
   };
   std::optional<PendingSend> prepare_summary_send(uint32_t iteration);
 
@@ -431,22 +465,14 @@ class BrokerNode {
   std::vector<std::weak_ptr<ClientConn>> conns_;  // for shutdown on stop()
 
   /// Per-sender mirror of the last announced image: the base a delta from
-  /// that sender applies to, and the unit of soft-state aging.
-  struct PeerShadow {
-    core::SummaryImage image;
-    uint64_t version = 0;
-    uint64_t digest = 0;
-    uint32_t idle_periods = 0;  // periods since the sender last announced
-  };
+  /// that sender applies to.
+  using PeerShadow = Announced;
   /// Per-neighbor copy of the image we last announced (and the peer
   /// acked): the base the next outgoing delta is diffed against.
-  struct LastSent {
-    core::SummaryImage image;
-    uint64_t version = 0;
-    uint64_t digest = 0;
+  struct LastSent : Announced {
     uint32_t sends_since_full = 0;
   };
-  /// Soft-state subscription lease, keyed by local id in leases_.
+  /// Soft-state subscription lease, keyed by subscription id in leases_.
   struct Lease {
     uint32_t ttl = 0;        // periods granted per renewal
     uint32_t remaining = 0;  // periods left; expires when it hits 0
@@ -463,7 +489,7 @@ class BrokerNode {
   std::vector<char> peer_wants_full_;  // latched when a peer kErrors a delta (v3)
   bool held_dirty_ = false;       // rows were removed: rebuild at the boundary
   bool shadows_changed_ = false;  // a shadow image changed since the rebuild
-  std::map<uint32_t, Lease> leases_;  // local id -> lease; guarded by mu_
+  std::map<model::SubId, Lease> leases_;  // own subscriptions; guarded by mu_
   uint32_t next_local_ = 0;
   uint64_t publish_seq_ = 0;
   uint64_t period_seq_ = 0;  // propagation periods seen; guarded by mu_
@@ -506,7 +532,6 @@ class BrokerNode {
   obs::Counter* ctr_delta_fallbacks_ = nullptr;  // subsum_summary_full_fallback_total
   obs::Counter* ctr_digest_mismatch_ = nullptr;  // subsum_summary_digest_mismatch_total
   obs::Counter* ctr_sync_requests_ = nullptr;    // subsum_summary_sync_total
-  obs::Counter* ctr_shadow_expired_ = nullptr;   // subsum_summary_shadow_expired_total
   obs::Histogram* hist_match_ = nullptr;        // subsum_match_latency_us
   std::vector<obs::Histogram*> hist_peer_rpc_;  // subsum_peer_rpc_latency_us{peer="N"}
   std::vector<obs::Counter*> ctr_peer_retries_;  // subsum_peer_rpc_retries_total{peer="N"}

@@ -74,32 +74,15 @@ SubId SimSystem::subscribe(BrokerId broker, model::Subscription sub) {
   return id;
 }
 
-SubId SimSystem::subscribe(BrokerId broker, model::Subscription sub, uint32_t lease_periods) {
-  const SubId id = subscribe(broker, std::move(sub));
-  if (lease_periods > 0) leases_[id] = Lease{lease_periods, lease_periods};
-  return id;
-}
-
-bool SimSystem::renew_lease(SubId id) {
-  const auto it = leases_.find(id);
-  if (it == leases_.end()) return false;
-  it->second.remaining = it->second.ttl;
-  return true;
-}
-
 void SimSystem::unsubscribe(SubId id) {
-  leases_.erase(id);
   // Promote subscriptions this root was covering before it disappears.
   if (const auto it = covered_by_.find(id); it != covered_by_.end()) {
     const std::vector<SubId> orphans = std::move(it->second);
     covered_by_.erase(it);
     for (const SubId& orphan : orphans) {
-      for (const auto& os : home_[orphan.broker].subs()) {
-        if (os.id == orphan) {
-          covered_by_.emplace(orphan, std::vector<SubId>{});
-          dissolve(orphan.broker, os.sub, orphan);
-          break;
-        }
+      if (const auto* os = home_[orphan.broker].find(orphan)) {
+        covered_by_.emplace(orphan, std::vector<SubId>{});
+        dissolve(orphan.broker, os->sub, orphan);
       }
     }
   } else if (cfg_.combine_subsumption) {
@@ -119,30 +102,11 @@ routing::PropagationResult SimSystem::run_propagation_period() {
   // flight-recorder dumps byte-identical across identical runs.
   const uint64_t vt_us = ++period_seq_ * 1'000'000;
   flight_.record_at(vt_us, obs::FrKind::kPeriodBegin, 0, 0, period_seq_);
-  // Soft state first: every period costs each lease one tick; expiry is an
-  // unsubscribe in all but name, so the removal rides this same period's
-  // maintenance piggyback.
-  std::vector<SubId> lease_expired;
-  for (auto it = leases_.begin(); it != leases_.end();) {
-    if (--it->second.remaining == 0) {
-      lease_expired.push_back(it->first);
-      it = leases_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (const SubId& id : lease_expired) {
-    flight_.record_at(vt_us, obs::FrKind::kLeaseExpired, id.local, id.broker);
-    unsubscribe(id);
-  }
-  if (!lease_expired.empty()) {
-    metrics_.counter("subsum_lease_expired_total")->inc(lease_expired.size());
-  }
   // Maintenance: apply pending removals to every broker's held state (they
   // ride along the period's summary messages; bytes charged below).
-  for (auto& held : state_.held) {
-    for (const SubId& id : pending_removals_) held.remove(id);
-  }
+  // One sorted batch per held summary: a single pass over its rows.
+  std::sort(pending_removals_.begin(), pending_removals_.end());
+  for (auto& held : state_.held) held.remove(pending_removals_);
   const size_t removal_bytes = pending_removals_.size() * wire_.codec.encoded_size();
   pending_removals_.clear();
 
@@ -206,12 +170,8 @@ SimSystem::PublishOutcome SimSystem::publish(BrokerId origin, const model::Event
       }
     } else {
       for (const SubId& id : d.ids) {
-        for (const auto& os : home_[d.owner].subs()) {
-          if (os.id == id && os.sub.matches(event)) {
-            out.delivered.push_back(id);
-            break;
-          }
-        }
+        const auto* os = home_[d.owner].find(id);
+        if (os && os->sub.matches(event)) out.delivered.push_back(id);
       }
     }
   }

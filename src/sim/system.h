@@ -83,21 +83,10 @@ class SimSystem {
   /// run_propagation_period().
   model::SubId subscribe(overlay::BrokerId broker, model::Subscription sub);
 
-  /// subscribe() with a soft-state lease (mirrors the net layer's v4
-  /// semantics): unless renewed within `lease_periods` propagation
-  /// periods, the subscription is expired — exactly like unsubscribe() —
-  /// at the start of a period, counted in subsum_lease_expired_total.
-  /// 0 = permanent.
-  model::SubId subscribe(overlay::BrokerId broker, model::Subscription sub,
-                         uint32_t lease_periods);
-
-  /// Resets a leased subscription's window to its full TTL. Returns false
-  /// when the id has no live lease (permanent, expired, or unknown).
-  bool renew_lease(model::SubId id);
-
   /// Removes a subscription. Remote summary copies are cleaned up at the
   /// next propagation period (the paper leaves maintenance scheduling open;
-  /// see DESIGN.md).
+  /// see DESIGN.md). Subscriptions here are permanent until unsubscribed:
+  /// soft-state leases are a net-layer feature (BrokerNode, PROTOCOL v4).
   void unsubscribe(model::SubId id);
 
   /// Runs one propagation period over the subscriptions added since the
@@ -142,10 +131,10 @@ class SimSystem {
   /// Span log of recent publishes (empty unless SystemConfig::trace).
   [[nodiscard]] const obs::TraceRing& trace_ring() const noexcept { return trace_ring_; }
 
-  /// Virtual-time flight recorder: period boundaries and lease expiries,
-  /// stamped with deterministic virtual timestamps (period * 1s), so two
-  /// identical runs produce byte-identical serialize() output — the sim's
-  /// reproducibility witness for the black-box format.
+  /// Virtual-time flight recorder: period boundaries, stamped with
+  /// deterministic virtual timestamps (period * 1s), so two identical runs
+  /// produce byte-identical serialize() output — the sim's reproducibility
+  /// witness for the black-box format.
   [[nodiscard]] const obs::FlightRecorder& flight_recorder() const noexcept {
     return flight_;
   }
@@ -169,15 +158,9 @@ class SimSystem {
   core::WireConfig wire_;
   Accounting acct_;
 
-  struct Lease {
-    uint32_t ttl = 0;
-    uint32_t remaining = 0;
-  };
-
   std::vector<core::NaiveMatcher> home_;          // exact tables per broker
   std::vector<core::BrokerSummary> delta_;        // this period's new subs
   std::vector<model::SubId> pending_removals_;
-  std::map<model::SubId, Lease> leases_;          // soft-state subscriptions
   std::vector<uint32_t> next_local_;              // per-broker c2 allocator
   routing::PropagationResult state_;              // cumulative held summaries
   /// combine_subsumption bookkeeping: propagated root -> covered local subs.

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "net/cluster.h"
@@ -238,6 +240,116 @@ TEST(BrokerNode, UnsubscribeStopsNotifications) {
   client->unsubscribe(id);
   client->publish(EventBuilder(s).set("symbol", "A").build());
   EXPECT_FALSE(client->next_notification(100ms).has_value());
+}
+
+// A broker acts on an unsubscribe only for ids its own home table holds.
+// Broker 1's id sent to broker 0, where it has the same local id (c2) as
+// broker 0's own subscription, is acked and ignored: it must neither unbind
+// broker 0's subscriber nor strip broker 1's rows from the overlay.
+TEST(BrokerNode, ForeignUnsubscribeLeavesBothSubscribersNotified) {
+  const Schema s = schema_v();
+  Cluster cluster(s, overlay::line(2));
+  auto c0 = cluster.connect(0);
+  auto c1 = cluster.connect(1);
+  const auto sub = SubscriptionBuilder(s).where("symbol", Op::kEq, "A").build();
+  const SubId id0 = c0->subscribe(sub);
+  const SubId id1 = c1->subscribe(sub);
+  ASSERT_EQ(id0.local, id1.local);
+  ASSERT_TRUE(cluster.run_propagation_period().complete());
+
+  c0->unsubscribe(id1);
+  ASSERT_TRUE(cluster.run_propagation_period().complete());
+  c0->publish(EventBuilder(s).set("symbol", "A").build());
+  const auto n0 = c0->next_notification(2000ms);
+  ASSERT_TRUE(n0.has_value());
+  EXPECT_EQ(n0->ids, std::vector<SubId>{id0});
+  const auto n1 = c1->next_notification(2000ms);
+  ASSERT_TRUE(n1.has_value());
+  EXPECT_EQ(n1->ids, std::vector<SubId>{id1});
+}
+
+// A v3 peer answers kSummaryDelta with kError. The broker must resend that
+// period's announcement as a full kSummary carrying the same removals, and
+// latch the peer: every later announcement to it is a full image.
+TEST(DeltaV3Latch, RejectedDeltaIsResentInFullWithItsRemovalsThenStaysFull) {
+  const Schema s = schema_v();
+  // Broker 1 is a fake v3 peer: it acks kSummary and rejects anything else.
+  std::mutex mu;
+  std::vector<Frame> seen;
+  struct FakePeer {
+    Listener listener{0};
+    std::thread thread;
+    ~FakePeer() {
+      listener.close();
+      if (thread.joinable()) thread.join();
+    }
+  } fake;
+  fake.thread = std::thread([&] {
+    while (auto sock = fake.listener.accept()) {
+      try {
+        auto f = recv_frame(*sock);
+        if (!f) continue;
+        const MsgKind reply =
+            f->kind == MsgKind::kSummary ? MsgKind::kSummaryAck : MsgKind::kError;
+        {
+          std::lock_guard lk(mu);
+          seen.push_back(std::move(*f));
+        }
+        send_frame(*sock, reply, {});
+      } catch (const NetError&) {
+      }
+    }
+  });
+  const auto frames = [&] {
+    std::lock_guard lk(mu);
+    return seen;
+  };
+
+  BrokerConfig cfg;
+  cfg.schema = s;
+  cfg.graph = overlay::line(2);
+  BrokerNode node(cfg);
+  node.set_peer_ports({node.port(), fake.listener.port()});
+  Client client(node.port(), s);
+  const auto subscribe = [&](int i) {
+    return client.subscribe(
+        SubscriptionBuilder(s).where("symbol", Op::kEq, "S" + std::to_string(i)).build());
+  };
+  std::vector<SubId> ids;
+  for (int i = 0; i < 30; ++i) ids.push_back(subscribe(i));
+  // One propagation period of a degree-1 broker: it announces to broker 1.
+  const auto period = [&] {
+    Socket raw = connect_local(node.port(), 500ms);
+    raw.set_recv_timeout(5000ms);
+    send_frame(raw, MsgKind::kTrigger, encode(TriggerMsg{1}));
+    const auto ack = recv_frame(raw);
+    ASSERT_TRUE(ack.has_value());
+    EXPECT_EQ(ack->kind, MsgKind::kTriggerAck);
+  };
+
+  period();  // first contact: a full image
+  ASSERT_EQ(frames().size(), 1u);
+  EXPECT_EQ(frames()[0].kind, MsgKind::kSummary);
+
+  client.unsubscribe(ids[3]);
+  subscribe(100);
+  period();
+  auto got = frames();
+  ASSERT_EQ(got.size(), 3u);
+  ASSERT_EQ(got[1].kind, MsgKind::kSummaryDelta) << "a small change must go out as a delta";
+  EXPECT_EQ(decode_summary_delta_msg(got[1].payload).removals, std::vector<SubId>{ids[3]});
+  ASSERT_EQ(got[2].kind, MsgKind::kSummary);
+  const auto resent = decode_summary_msg(got[2].payload);
+  EXPECT_EQ(resent.removals, std::vector<SubId>{ids[3]});
+  EXPECT_EQ(resent.digest, node.held_digest());
+
+  client.unsubscribe(ids[4]);
+  subscribe(101);
+  period();
+  got = frames();
+  ASSERT_EQ(got.size(), 4u);
+  EXPECT_EQ(got[3].kind, MsgKind::kSummary);
+  EXPECT_EQ(decode_summary_msg(got[3].payload).removals, std::vector<SubId>{ids[4]});
 }
 
 TEST(Cluster, Fig7EndToEndOverTcp) {

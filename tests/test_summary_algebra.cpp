@@ -6,9 +6,13 @@
 // direction (merging never loses ids).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <string>
+#include <vector>
 
+#include "core/delta.h"
 #include "core/matcher.h"
 #include "core/serialize.h"
 #include "util/rng.h"
@@ -192,6 +196,53 @@ INSTANTIATE_TEST_SUITE_P(
                                   {0x00, 0x00, 0x00, 0x00, 0x00, 0x00}},
                       AlgebraCase{4, GeneralizePolicy::kAggressive, AacsMode::kCoarse,
                                   {0x78, 0x84, 0x1F, 0x7F, 0x00, 0x00}}));
+
+// Batched removal (one pass over the rows per summary) must leave exactly
+// the summary that removing the same ids one at a time leaves: structurally
+// equal, same digest, same approximate id count. Covers both AACS modes,
+// SACS prefix patterns, ids of several brokers, duplicates and absent ids.
+TEST(SummaryRemoval, BatchEqualsSequentialPerIdRemoval) {
+  const Schema schema = workload::stock_schema();
+  for (const AacsMode mode : {AacsMode::kExact, AacsMode::kCoarse}) {
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+      SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)) + " seed " +
+                   std::to_string(seed));
+      workload::SubGenParams sp;
+      sp.subsumption = 0.6;
+      sp.range_tightness = 0.4;
+      sp.prefix_fraction = 0.5;
+      workload::SubscriptionGenerator gen(schema, sp, seed);
+      util::Rng rng(seed * 31);
+      BrokerSummary base(schema, GeneralizePolicy::kSafe, mode);
+      std::vector<SubId> ids;
+      for (uint32_t b = 0; b < 4; ++b) {
+        for (uint32_t i = 0; i < 60; ++i) {
+          const Subscription sub = gen.next();
+          ids.push_back(SubId{b, i, sub.mask()});
+          base.add(sub, ids.back());
+        }
+      }
+      std::vector<SubId> batch;
+      for (const SubId& id : ids) {
+        if (rng.below(3) == 0) batch.push_back(id);
+      }
+      ASSERT_FALSE(batch.empty());
+      for (int k = 0; k < 10; ++k) batch.push_back(batch[rng.below(batch.size())]);
+      batch.push_back(SubId{9, 7, ids.front().attrs});     // unknown broker
+      batch.push_back(SubId{0, 1000, ids.front().attrs});  // unknown local id
+
+      BrokerSummary sequential = base;
+      for (const SubId& id : batch) sequential.remove(id);  // unsorted order
+      std::sort(batch.begin(), batch.end());
+      BrokerSummary batched = base;
+      batched.remove(batch);
+      EXPECT_TRUE(batched == sequential);
+      EXPECT_EQ(summary_digest(batched), summary_digest(sequential));
+      EXPECT_EQ(batched.approx_id_entries(), sequential.approx_id_entries());
+      EXPECT_FALSE(batched == base);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace subsum::core
